@@ -318,8 +318,8 @@ func (tb *Table) writeCheckpoint(w io.Writer, ts Timestamp, totalRows *int64) er
 
 // restoreCheckpoint rebuilds table contents from a checkpoint image:
 // verifies each table frame against the re-created tables, bulk-loads row
-// batches, and re-logs the load as one synthetic committed transaction when
-// a WAL is attached (so the new log alone covers the restored rows).
+// batches and installs cold ranges. Nothing is logged: the image itself
+// stays the durable copy of what it restores.
 func (db *DB) restoreCheckpoint(r io.Reader, stats *RecoverStats) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	hdr, err := wal.ReadFrame(br)
@@ -340,14 +340,6 @@ func (db *DB) restoreCheckpoint(r io.Reader, stats *RecoverStats) error {
 		return fmt.Errorf("lstore: checkpoint header: %w", hp.err)
 	}
 	stats.Watermark = watermark
-
-	relog := db.logger != nil
-	var loadID uint64
-	if relog {
-		// A synthetic transaction ID for the re-logged bulk load; Tick keeps
-		// it disjoint from every real transaction's ID.
-		loadID = types.TxnIDFlag | db.tm.Tick()
-	}
 
 	var curTbl *Table
 	var curCount, tablesSeen int64
@@ -378,7 +370,6 @@ func (db *DB) restoreCheckpoint(r io.Reader, stats *RecoverStats) error {
 				return fmt.Errorf("lstore: checkpoint row batch for table %d outside its section", id)
 			}
 			rows := make([][]Value, 0, nRows)
-			batchTVals := make([][]wal.TypedVal, 0, nRows)
 			for i := uint64(0); i < nRows; i++ {
 				tvals, off, err := wal.ParseTypedVals(fp.p, fp.off)
 				if err != nil {
@@ -393,22 +384,12 @@ func (db *DB) restoreCheckpoint(r io.Reader, stats *RecoverStats) error {
 					vals[j] = fromTyped(tv)
 				}
 				rows = append(rows, vals)
-				batchTVals = append(batchTVals, tvals)
 			}
 			loaded, err := curTbl.store.BulkLoad(rows)
 			stats.CheckpointRows += int64(loaded)
 			curCount += int64(loaded)
 			if err != nil {
 				return fmt.Errorf("lstore: checkpoint restore into %q: %w", curTbl.name, err)
-			}
-			if relog {
-				for _, tvals := range batchTVals {
-					if _, err := db.logger.Append(wal.Record{
-						Kind: wal.KindInsert, TxnID: loadID, Table: curTbl.id, TVals: tvals,
-					}); err != nil {
-						return fmt.Errorf("lstore: re-log during restore: %w", err)
-					}
-				}
 			}
 		case framePageRange:
 			id := fp.uvarint()
@@ -438,7 +419,7 @@ func (db *DB) restoreCheckpoint(r io.Reader, stats *RecoverStats) error {
 			if fp.err != nil || fp.off != len(fp.p) {
 				return fmt.Errorf("lstore: checkpoint page frame malformed: %w", wal.ErrTornFrame)
 			}
-			installed, err := db.installCkptRange(curTbl, img, declRows, relog, loadID)
+			installed, err := db.installCkptRange(curTbl, img, declRows)
 			if err != nil {
 				return err
 			}
@@ -478,7 +459,7 @@ func (db *DB) restoreCheckpoint(r io.Reader, stats *RecoverStats) error {
 			if err != nil {
 				return fmt.Errorf("lstore: checkpoint restore into %q: %w", curTbl.name, err)
 			}
-			installed, err := db.installCkptRange(curTbl, img, declRows, relog, loadID)
+			installed, err := db.installCkptRange(curTbl, img, declRows)
 			if err != nil {
 				return err
 			}
@@ -508,13 +489,6 @@ func (db *DB) restoreCheckpoint(r io.Reader, stats *RecoverStats) error {
 			if tablesSeen != int64(nTables) {
 				return fmt.Errorf("lstore: checkpoint holds %d tables, header declares %d", tablesSeen, nTables)
 			}
-			if relog && stats.CheckpointRows > 0 {
-				// Commit the synthetic bulk-load transaction in the new log.
-				// Buffered only — Recover flushes once at the end.
-				if _, err := db.logger.Append(wal.Record{Kind: wal.KindCommit, TxnID: loadID}); err != nil {
-					return fmt.Errorf("lstore: re-log during restore: %w", err)
-				}
-			}
 			return nil
 		default:
 			return fmt.Errorf("lstore: checkpoint frame tag %d unknown", p[0])
@@ -522,24 +496,10 @@ func (db *DB) restoreCheckpoint(r io.Reader, stats *RecoverStats) error {
 	}
 }
 
-// installCkptRange installs one cold-range image into tbl, re-logging its
-// rows into the new WAL generation when relog is set — shared by the
+// installCkptRange installs one cold-range image into tbl — shared by the
 // framePageRange and framePageRef restore paths.
-func (db *DB) installCkptRange(tbl *Table, img core.RangeImage, declRows uint64, relog bool, loadID uint64) (int, error) {
-	var rowFn func(key int64, vals []Value) error
-	if relog {
-		tvals := make([]wal.TypedVal, tbl.schema.NumCols())
-		rowFn = func(_ int64, vals []Value) error {
-			for i, v := range vals {
-				tvals[i] = toTyped(v)
-			}
-			_, err := db.logger.Append(wal.Record{
-				Kind: wal.KindInsert, TxnID: loadID, Table: tbl.id, TVals: tvals,
-			})
-			return err
-		}
-	}
-	installed, err := tbl.store.InstallRangeImage(img, rowFn)
+func (db *DB) installCkptRange(tbl *Table, img core.RangeImage, declRows uint64) (int, error) {
+	installed, err := tbl.store.InstallRangeImage(img)
 	if errors.Is(err, core.ErrImageShape) {
 		// The restoring store runs a different RangeSize (or layout):
 		// decode the image to rows and take the bulk-load path.
@@ -548,13 +508,6 @@ func (db *DB) installCkptRange(tbl *Table, img core.RangeImage, declRows uint64,
 			return 0, fmt.Errorf("lstore: checkpoint page restore into %q: %w", tbl.name, rerr)
 		}
 		installed, err = tbl.store.BulkLoad(rows)
-		if err == nil && rowFn != nil {
-			for _, vals := range rows {
-				if err = rowFn(0, vals); err != nil {
-					break
-				}
-			}
-		}
 	}
 	if err != nil {
 		return installed, fmt.Errorf("lstore: checkpoint page restore into %q: %w", tbl.name, err)
@@ -744,19 +697,6 @@ func (b *CheckpointBuffer) Taken() int {
 	return b.taken
 }
 
-// WithCheckpointEvery runs a background checkpointer: every interval it
-// writes a complete checkpoint to sink and then truncates the WAL to the
-// checkpoint's watermark (bounded by the oldest active transaction's begin
-// LSN), so the log stops growing without bound. Truncation is skipped
-// silently when the WAL sink cannot truncate or no WAL is attached; the
-// checkpoints themselves still bound restart time.
-func WithCheckpointEvery(every time.Duration, sink CheckpointSink) Option {
-	return func(db *DB) {
-		db.ckptEvery = every
-		db.ckptSink = sink
-	}
-}
-
 // CheckpointTo runs one complete checkpoint round against sink — write a
 // full image, hand it to the sink, truncate the covered WAL prefix — and
 // returns the image's description. A sink error keeps the previous
@@ -783,16 +723,14 @@ func (db *DB) CheckpointTo(sink CheckpointSink) (CheckpointInfo, error) {
 	return info, nil
 }
 
-// StartCheckpointer starts the background checkpointer on an already-open
-// database — the same loop WithCheckpointEvery runs, but under the caller's
-// control of WHEN it begins. A durable serving layer needs exactly that:
-// recovery re-logs into a fresh WAL generation, and until the new
-// (checkpoint, WAL) pair is committed on disk, a background checkpoint
-// would overwrite the only image — possibly with a half-recovered or empty
-// database — while the generation marker still names the old pair. Such
-// callers Open without WithCheckpointEvery, finish recovery and commit the
-// generation, and only then start the checkpointer. The checkpointer can be
-// started once per DB; Close stops it.
+// StartCheckpointer runs the background checkpointer: every interval it
+// runs one CheckpointTo round against sink — a complete image, then WAL
+// truncation to the image's watermark (bounded by the oldest active
+// transaction's begin LSN), so the log stops growing without bound.
+// Truncation is skipped when the WAL sink cannot truncate or no WAL is
+// attached; the checkpoints themselves still bound restart time. Start it
+// after Recover: a round during recovery would capture a half-restored
+// database. The checkpointer can be started once per DB; Close stops it.
 func (db *DB) StartCheckpointer(every time.Duration, sink CheckpointSink) error {
 	if every <= 0 || sink == nil {
 		return fmt.Errorf("lstore: StartCheckpointer needs a positive interval and a sink")
@@ -806,23 +744,13 @@ func (db *DB) StartCheckpointer(every time.Duration, sink CheckpointSink) error 
 		db.mu.Unlock()
 		return fmt.Errorf("lstore: checkpointer already started")
 	}
-	db.ckptEvery, db.ckptSink = every, sink
-	stop, done := db.armCheckpointerLocked()
+	db.ckptSink = sink
+	db.ckptStop = make(chan struct{})
+	db.ckptDone = make(chan struct{})
+	stop, done := db.ckptStop, db.ckptDone
 	db.mu.Unlock()
 	go db.checkpointLoop(every, sink, stop, done)
 	return nil
-}
-
-// armCheckpointerLocked creates the checkpointer's stop/done channels and
-// returns them; the caller launches checkpointLoop AFTER releasing mu (the
-// loop acquires ckptRoundMu, which is ordered before mu). The loop takes
-// its state as arguments so it never reads the mu-guarded channel fields.
-//
-// locked: db.mu
-func (db *DB) armCheckpointerLocked() (stop, done chan struct{}) {
-	db.ckptStop = make(chan struct{})
-	db.ckptDone = make(chan struct{})
-	return db.ckptStop, db.ckptDone
 }
 
 // checkpointRound is one background-checkpointer cycle against the
@@ -834,7 +762,9 @@ func (db *DB) checkpointRound() {
 
 // checkpointLoop runs checkpoint rounds every tick until stop closes.
 // Round errors are dropped: the next tick retries, the previous image stays
-// authoritative.
+// authoritative. The loop is launched after StartCheckpointer releases mu
+// (CheckpointTo takes ckptRoundMu, which is ordered before mu) and takes
+// its channels as arguments, so it never reads the mu-guarded fields.
 func (db *DB) checkpointLoop(every time.Duration, sink CheckpointSink, stop, done chan struct{}) {
 	defer close(done)
 	tick := time.NewTicker(every)

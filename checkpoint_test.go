@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lstore/internal/fault"
 	"lstore/internal/wal"
 )
 
@@ -173,66 +174,290 @@ func TestCheckpointTailRestartReplaysOnlyTail(t *testing.T) {
 	}
 }
 
-// TestRecoverRelogsIntoNewWAL pins the satellite-2 regression: recovery
-// into a DB opened WithWAL re-logs everything it applies, so
-// recover → write → crash → recover round-trips on the NEW log alone with
-// zero lost committed transactions.
-func TestRecoverRelogsIntoNewWAL(t *testing.T) {
-	var oldLog bytes.Buffer
-	db := Open(WithWAL(&oldLog, nil))
+// TestRecoverContinuesSameLog: recover → write → crash → recover on the
+// SAME log. Recovery logs nothing, so the second recovery reads the
+// pre-crash history and the post-recovery transactions from one log and
+// one image, with zero lost committed transactions.
+func TestRecoverContinuesSameLog(t *testing.T) {
+	for _, media := range tortureMediaList() {
+		t.Run(media.name, func(t *testing.T) {
+			dev := media.open(t)
+			db := Open(WithWAL(dev.inner, nil))
+			tbl, _ := db.CreateTable("t", ckptSchema())
+			tx := db.Begin(ReadCommitted)
+			for i := int64(0); i < 20; i++ {
+				if err := tbl.Insert(tx, Row{"id": Int(i), "name": Str("a"), "v": Int(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommit(t, tx)
+			if _, err := db.CheckpointTo(dev.ckpt); err != nil {
+				t.Fatal(err)
+			}
+			tx = db.Begin(ReadCommitted)
+			if err := tbl.Update(tx, 7, Row{"v": Int(777)}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			db.Close() // crash 1
+
+			db2, tbl2, stats := restartOn(t, dev)
+			if stats.RedoneTxns != 1 || stats.CheckpointRows != 20 {
+				t.Fatalf("first recovery: %+v", stats)
+			}
+			tx = db2.Begin(ReadCommitted)
+			if err := tbl2.Insert(tx, Row{"id": Int(100), "name": Str("post"), "v": Int(1)}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			tx = db2.Begin(ReadCommitted)
+			if err := tbl2.Delete(tx, 3); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			want := tableState(t, tbl2, db2.Now())
+			db2.Close() // crash 2
+
+			db3, tbl3, stats := restartOn(t, dev)
+			defer db3.Close()
+			if stats.RedoneTxns != 3 {
+				t.Fatalf("second recovery redid %d txns, want 3 (one pre-crash, two post-recovery)", stats.RedoneTxns)
+			}
+			assertSameState(t, want, tableState(t, tbl3, db3.Now()), "recover->write->crash->recover")
+		})
+	}
+}
+
+// TestRecoverAppendsNothing: with a WAL attached, Recover writes no record
+// to it — neither to the log it continues nor to a fresh one — and new
+// records number above every LSN the image and the tail used.
+func TestRecoverAppendsNothing(t *testing.T) {
+	old := &WALBuffer{}
+	db := Open(WithWAL(old, nil))
 	tbl, _ := db.CreateTable("t", ckptSchema())
-	tx := db.Begin(ReadCommitted)
-	for i := int64(0); i < 20; i++ {
-		if err := tbl.Insert(tx, Row{"id": Int(i), "name": Str("a"), "v": Int(i)}); err != nil {
+	for i := int64(0); i < 8; i++ {
+		tx := db.Begin(ReadCommitted)
+		if err := tbl.Insert(tx, Row{"id": Int(i), "v": Int(i)}); err != nil {
 			t.Fatal(err)
 		}
+		mustCommit(t, tx)
 	}
-	mustCommit(t, tx)
 	var ckpt bytes.Buffer
-	if _, err := db.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	tx = db.Begin(ReadCommitted)
-	if err := tbl.Update(tx, 7, Row{"v": Int(777)}); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-	db.Close()
-
-	// First recovery, into a database with a fresh WAL attached.
-	var newLog bytes.Buffer
-	db2 := Open(WithWAL(&newLog, nil))
-	tbl2, _ := db2.CreateTable("t", ckptSchema())
-	if _, err := Recover(db2, bytes.NewReader(ckpt.Bytes()), bytes.NewReader(oldLog.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	// Post-recovery work, logged to the new WAL only.
-	tx = db2.Begin(ReadCommitted)
-	if err := tbl2.Insert(tx, Row{"id": Int(100), "name": Str("post"), "v": Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-	tx = db2.Begin(ReadCommitted)
-	if err := tbl2.Delete(tx, 3); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-	want := tableState(t, tbl2, db2.Now())
-	db2.Close()
-
-	// Second crash: the new log alone must rebuild everything — the
-	// pre-crash history (re-logged) plus the post-recovery transactions.
-	db3 := Open()
-	defer db3.Close()
-	tbl3, _ := db3.CreateTable("t", ckptSchema())
-	stats, err := Recover(db3, nil, bytes.NewReader(newLog.Bytes()))
+	info, err := db.Checkpoint(&ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.RedoneOps == 0 {
-		t.Fatal("second recovery redid nothing; first recovery logged nothing")
+	if _, err := db.TruncateWAL(info.LSN); err != nil { // the log is now empty
+		t.Fatal(err)
 	}
-	assertSameState(t, want, tableState(t, tbl3, db3.Now()), "recover->write->crash->recover")
+	tx := db.Begin(ReadCommitted)
+	if err := tbl.Update(tx, 2, Row{"v": Int(-2)}); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	lastLSN := db.WALInfo().LastLSN
+	tail := old.Bytes()
+	db.Close()
+
+	for _, tc := range []struct {
+		name string
+		sink *WALBuffer
+	}{{"same log", old}, {"fresh log", &WALBuffer{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := tc.sink.Len()
+			db2 := Open(WithWAL(tc.sink, nil))
+			defer db2.Close()
+			if _, err := db2.CreateTable("t", ckptSchema()); err != nil {
+				t.Fatal(err)
+			}
+			stats, err := Recover(db2, bytes.NewReader(ckpt.Bytes()), bytes.NewReader(tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.RedoneTxns != 1 || stats.CheckpointRows != 8 {
+				t.Fatalf("recovery: %+v", stats)
+			}
+			w := db2.WALInfo()
+			if w.Appended != 0 || tc.sink.Len() != before {
+				t.Fatalf("Recover appended %d records (%d -> %d bytes)", w.Appended, before, tc.sink.Len())
+			}
+			if w.LastLSN < lastLSN || w.FlushedLSN != w.LastLSN {
+				t.Fatalf("after Recover LastLSN=%d FlushedLSN=%d, want both >= %d", w.LastLSN, w.FlushedLSN, lastLSN)
+			}
+			db2.Begin(ReadCommitted).Abort()
+			if got := db2.WALInfo().LastLSN; got <= lastLSN {
+				t.Fatalf("new record got LSN %d, not above the recovered %d", got, lastLSN)
+			}
+		})
+	}
+}
+
+// TestRecoverDanglingTxnNoPhantom: a transaction that was open at the crash
+// leaves begin and operation records, but no commit, in the retained log.
+// New transactions after the restart must never reuse its ID — the next
+// recovery groups records by ID, so a reused ID that commits would
+// resurrect the dead transaction's operations.
+func TestRecoverDanglingTxnNoPhantom(t *testing.T) {
+	for _, media := range tortureMediaList() {
+		t.Run(media.name, func(t *testing.T) {
+			dev := media.open(t)
+			db := Open(WithWAL(dev.inner, nil))
+			tbl, _ := db.CreateTable("t", ckptSchema())
+			for i := int64(0); i < 10; i++ {
+				tx := db.Begin(ReadCommitted)
+				if err := tbl.Insert(tx, Row{"id": Int(i), "v": Int(i)}); err != nil {
+					t.Fatal(err)
+				}
+				mustCommit(t, tx)
+			}
+			dangling := db.Begin(ReadCommitted)
+			if err := tbl.Update(dangling, 5, Row{"v": Int(555)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Insert(dangling, Row{"id": Int(50), "v": Int(50)}); err != nil {
+				t.Fatal(err)
+			}
+			// The round's truncation stops at the dangling begin record, so
+			// the records stay in the log the restarts continue.
+			if _, err := db.CheckpointTo(dev.ckpt); err != nil {
+				t.Fatal(err)
+			}
+			db.Close() // crash 1, with the dangling transaction still open
+
+			db2, tbl2, _ := restartOn(t, dev)
+			// Walk the clock up to the dangling ID (an aborted read-only
+			// transaction ticks it once), then commit writes: the first
+			// would reuse the dead transaction's ID if recovery had not
+			// moved the clock past every ID in the log.
+			for db2.Now()+1 < dangling.BeginTime() {
+				db2.Begin(ReadCommitted).Abort()
+			}
+			for i := int64(0); i < 10; i++ {
+				tx := db2.Begin(ReadCommitted)
+				if err := tbl2.Update(tx, i, Row{"v": Int(1000 + i)}); err != nil {
+					t.Fatal(err)
+				}
+				mustCommit(t, tx)
+			}
+			want := tableState(t, tbl2, db2.Now())
+			db2.Close() // crash 2
+
+			db3, tbl3, _ := restartOn(t, dev)
+			defer db3.Close()
+			got := tableState(t, tbl3, db3.Now())
+			if _, ok := got[50]; ok {
+				t.Fatal("the dangling transaction's insert reappeared")
+			}
+			assertSameState(t, want, got, "second restart")
+		})
+	}
+}
+
+// TestTornTailReopenAppend: a crash leaves a torn frame at the end of the
+// log. The restart cuts it before appending, so every commit made after
+// the restart replays at the next one — appended behind the torn bytes,
+// they would be unreadable. The first restart attempt dies at the cut
+// point itself, leaving the torn tail in place for the second.
+func TestTornTailReopenAppend(t *testing.T) {
+	for _, media := range tortureMediaList() {
+		t.Run(media.name, func(t *testing.T) {
+			defer fault.Reset()
+			dev := media.open(t)
+			db := Open(WithWAL(dev.inner, nil))
+			tbl, _ := db.CreateTable("t", ckptSchema())
+			for i := int64(0); i < 5; i++ {
+				tx := db.Begin(ReadCommitted)
+				if err := tbl.Insert(tx, Row{"id": Int(i), "v": Int(i)}); err != nil {
+					t.Fatal(err)
+				}
+				mustCommit(t, tx)
+			}
+			// A frame header promising 32 payload bytes, then 3 of them.
+			if _, err := dev.inner.Write([]byte{32, 0, 0, 0, 9, 9, 9, 9, 1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			db.Close() // crash
+
+			fault.Trip("wal.reopen.pre-cut", 1)
+			if crash := fault.RunToCrash(func() { restartOn(t, dev) }); crash == nil {
+				t.Fatal("restart did not pass the reopen cut point")
+			}
+			db2, tbl2, stats := restartOn(t, dev)
+			if stats.RedoneTxns != 5 {
+				t.Fatalf("first restart redid %d txns, want 5", stats.RedoneTxns)
+			}
+			for i := int64(5); i < 10; i++ {
+				tx := db2.Begin(ReadCommitted)
+				if err := tbl2.Insert(tx, Row{"id": Int(i), "v": Int(i)}); err != nil {
+					t.Fatal(err)
+				}
+				mustCommit(t, tx)
+			}
+			want := tableState(t, tbl2, db2.Now())
+			db2.Close() // crash
+
+			db3, tbl3, stats := restartOn(t, dev)
+			defer db3.Close()
+			if stats.RedoneTxns != 10 {
+				t.Fatalf("second restart redid %d txns, want 10", stats.RedoneTxns)
+			}
+			assertSameState(t, want, tableState(t, tbl3, db3.Now()), "after torn tail, reopen and append")
+		})
+	}
+}
+
+// TestReopenCheckpointTruncateCrash: a truncation after a reopen must cut
+// at a record boundary of the log as it is — retained records included —
+// or the log left behind starts mid-record and replays nothing. An open
+// transaction pins the cut, and the first record sizes after the reopen
+// differ from the retained ones, so a cut that ignores the retained bytes
+// cannot land on a boundary by accident.
+func TestReopenCheckpointTruncateCrash(t *testing.T) {
+	for _, media := range tortureMediaList() {
+		t.Run(media.name, func(t *testing.T) {
+			put := func(db *DB, tbl *Table, tx *Txn, k int64, name string) {
+				t.Helper()
+				if tx == nil {
+					tx = db.Begin(ReadCommitted)
+					defer mustCommit(t, tx)
+				}
+				if err := tbl.Insert(tx, Row{"id": Int(k), "name": Str(name), "v": Int(k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dev := media.open(t)
+			db := Open(WithWAL(dev.inner, nil))
+			tbl, _ := db.CreateTable("t", ckptSchema())
+			for i := int64(0); i < 10; i++ {
+				put(db, tbl, nil, i, "r")
+			}
+			db.Close() // crash 1: no checkpoint, the whole history is in the log
+
+			db2, tbl2, _ := restartOn(t, dev)
+			put(db2, tbl2, nil, 10, "written after the reopen")
+			open := db2.Begin(ReadCommitted)
+			put(db2, tbl2, open, 11, "open across the checkpoint")
+			put(db2, tbl2, nil, 12, "r")
+			info, err := db2.CheckpointTo(dev.ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := db2.WALInfo(); w.TruncatedLSN == 0 || w.TruncatedLSN >= info.LSN {
+				t.Fatalf("truncation not pinned below the open transaction: %+v (watermark %d)", w, info.LSN)
+			}
+			mustCommit(t, open)
+			put(db2, tbl2, nil, 13, "r")
+			want := tableState(t, tbl2, db2.Now())
+			db2.Close() // crash 2
+
+			if rep := wal.Verify(bytes.NewReader(dev.durableWAL(t))); rep.TornBytes != 0 || rep.FirstLSN <= 1 {
+				t.Fatalf("truncated log is not a clean tail: first LSN %d, %d torn bytes (%s)", rep.FirstLSN, rep.TornBytes, rep.Reason)
+			}
+			db3, tbl3, _ := restartOn(t, dev)
+			defer db3.Close()
+			assertSameState(t, want, tableState(t, tbl3, db3.Now()), "reopen, commit, truncate, crash")
+		})
+	}
 }
 
 // TestWALTruncationAfterCheckpoint: truncating at the watermark shrinks the
@@ -436,14 +661,17 @@ func TestTruncationRespectsCommittedStraddlers(t *testing.T) {
 	}
 }
 
-// TestBackgroundCheckpointer: WithCheckpointEvery keeps fresh checkpoints
+// TestBackgroundCheckpointer: StartCheckpointer keeps fresh checkpoints
 // flowing into the sink and truncates the log; latest checkpoint + retained
 // log recovers the final state.
 func TestBackgroundCheckpointer(t *testing.T) {
 	sink := &wal.BufferSink{}
 	cb := &CheckpointBuffer{}
-	db := Open(WithWAL(sink, nil), WithCheckpointEvery(time.Millisecond, cb))
+	db := Open(WithWAL(sink, nil))
 	tbl, _ := db.CreateTable("t", ckptSchema())
+	if err := db.StartCheckpointer(time.Millisecond, cb); err != nil {
+		t.Fatal(err)
+	}
 	tx := db.Begin(ReadCommitted)
 	for i := int64(0); i < 64; i++ {
 		if err := tbl.Insert(tx, Row{"id": Int(i), "v": Int(0)}); err != nil {

@@ -89,8 +89,8 @@ func parseTableSpec(s string) (server.TableSpec, error) {
 func main() {
 	var (
 		listen      = flag.String("listen", "127.0.0.1:7433", "listen address")
-		walPath     = flag.String("wal", "", "WAL base path (required; generations live at <path>.NNNNNN)")
-		ckptPath    = flag.String("checkpoint", "", "checkpoint base path (required; generation images live at <path>.NNNNNN)")
+		walPath     = flag.String("wal", "", "WAL file (required; continued across restarts)")
+		ckptPath    = flag.String("checkpoint", "", "checkpoint image file (required; atomically replaced by each checkpoint)")
 		ckptEvery   = flag.Duration("checkpoint-every", 30*time.Second, "background checkpoint cadence (0 = only DDL/drain checkpoints)")
 		txnQueue    = flag.Int("txn-queue", 64, "max in-flight transactions before shedding")
 		queryQueue  = flag.Int("query-queue", 64, "max in-flight queries before shedding")
@@ -120,8 +120,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lstore-serve: open store: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("lstore-serve: generation %d open (%d checkpoint rows, %d txns replayed), tables: %s\n",
-		st.Generation, st.Recovered.CheckpointRows, st.Recovered.RedoneTxns,
+	fmt.Printf("lstore-serve: store open (%d checkpoint rows, %d txns replayed from %s), tables: %s\n",
+		st.Recovered.CheckpointRows, st.Recovered.RedoneTxns, *walPath,
 		strings.Join(st.DB.TableNames(), ", "))
 
 	srv := server.New(st.DB, server.Config{

@@ -5,12 +5,12 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"lstore/internal/core"
 	"lstore/internal/epoch"
 	"lstore/internal/fault"
 	"lstore/internal/txn"
+	"lstore/internal/types"
 	"lstore/internal/wal"
 )
 
@@ -55,18 +55,16 @@ type DB struct {
 	txnLog   map[uint64]txnLSNs // guarded by activeMu
 
 	// ckptRoundMu serializes whole checkpoint rounds against Recover: a
-	// checkpoint cut mid-restore would capture a half-loaded image and
-	// could truncate the re-logged records out from under it.
+	// checkpoint cut mid-restore would capture a half-loaded image, and its
+	// truncation could drop log records the restore has not replayed yet.
 	ckptRoundMu sync.Mutex
 
-	// Background checkpointer (WithCheckpointEvery or StartCheckpointer).
-	// ckptEvery/ckptSink are written before the checkpointer goroutine
-	// starts and immutable afterwards.
-	ckptEvery time.Duration
-	ckptSink  CheckpointSink
-	ckptStop  chan struct{} // guarded by mu; non-nil once the checkpointer ran
-	ckptDone  chan struct{} // guarded by mu
-	ckptOnce  sync.Once
+	// Background checkpointer (StartCheckpointer). ckptSink is written
+	// before the checkpointer goroutine starts and immutable afterwards.
+	ckptSink CheckpointSink
+	ckptStop chan struct{} // guarded by mu; non-nil once the checkpointer ran
+	ckptDone chan struct{} // guarded by mu
+	ckptOnce sync.Once
 
 	// noGroupCommit (WithoutGroupCommit) is applied to the logger once in
 	// Open, after every option has run; immutable afterwards.
@@ -81,11 +79,13 @@ type Option func(*DB)
 
 // WithWAL attaches a redo-only write-ahead log: every committed
 // transaction's operations become durable at its commit record (group
-// commit). Replay a captured log with Recover. syncFn, if non-nil, runs at
-// each flush (an fsync stand-in). A sink that implements
-// wal.TruncatableSink (e.g. *wal.BufferSink) additionally enables log
-// truncation at checkpoint watermarks (TruncateWAL, the background
-// checkpointer) so the log stops growing without bound.
+// commit). Replay a captured log with Recover. A sink that already holds a
+// log (a reopened WALFile, a WALBuffer that outlived its database) is
+// continued: its torn tail is cut and new records follow the retained
+// ones. syncFn, if non-nil, runs at each flush (an fsync stand-in). A sink
+// that implements wal.TruncatableSink (e.g. *wal.BufferSink) additionally
+// enables log truncation at checkpoint watermarks (TruncateWAL, the
+// background checkpointer) so the log stops growing without bound.
 func WithWAL(sink io.Writer, syncFn func()) Option {
 	return func(db *DB) { db.logger = wal.NewLogger(sink, syncFn) }
 }
@@ -190,12 +190,6 @@ func Open(opts ...Option) *DB {
 	}
 	if db.logger != nil && db.noGroupCommit {
 		db.logger.SetGroupCommit(false)
-	}
-	if db.ckptEvery > 0 && db.ckptSink != nil {
-		db.mu.Lock()
-		stop, done := db.armCheckpointerLocked()
-		db.mu.Unlock()
-		go db.checkpointLoop(db.ckptEvery, db.ckptSink, stop, done)
 	}
 	return db
 }
@@ -519,16 +513,17 @@ type RecoverStats struct {
 // meaningless against the recovered database and the version history
 // collapses to the recovered states themselves.
 //
-// If db was opened WithWAL, recovery re-logs everything it applies — the
-// restored rows as one synthetic bulk-load transaction and each redone
-// transaction with fresh IDs — so the NEW log alone rebuilds the recovered
-// state: recover → write → crash → recover round-trips with no dependency
-// on the pre-crash log.
+// Recovery logs nothing. If db was opened WithWAL, its log continues after
+// every LSN the image and the tail used, and its transaction IDs after
+// every ID in the tail, so a later recovery reads the same (image, log)
+// pair as one sequence. Durability across the next crash therefore needs
+// the SAME log the tail was read from: open the WAL over that log, then
+// hand its bytes to Recover. A fresh WAL receives only new commits, and
+// the recovered state stays durable only as long as the old image and log.
 func Recover(db *DB, checkpoint io.Reader, logTail io.Reader) (RecoverStats, error) {
 	var stats RecoverStats
 	// Exclude whole background-checkpointer rounds for the duration: a
-	// checkpoint cut mid-restore would capture a half-loaded image and its
-	// truncation could drop the re-logged records out from under it.
+	// checkpoint cut mid-restore would capture a half-loaded image.
 	db.ckptRoundMu.Lock()
 	defer db.ckptRoundMu.Unlock()
 	if checkpoint != nil {
@@ -537,6 +532,7 @@ func Recover(db *DB, checkpoint io.Reader, logTail io.Reader) (RecoverStats, err
 		}
 	}
 	cpRecoverPostRest.Hit() // crash here: double-crash between restore and tail redo
+	lastLSN := stats.Watermark
 	if logTail != nil {
 		records, err := wal.ReadAll(logTail)
 		if err != nil {
@@ -551,21 +547,27 @@ func Recover(db *DB, checkpoint io.Reader, logTail io.Reader) (RecoverStats, err
 				return stats, err
 			}
 		}
+		// Uncommitted records count too: a dangling transaction's ID must
+		// never be handed out again, or the next recovery would merge its
+		// operations into the new transaction that reused the ID.
+		var lastBegin uint64
+		for _, rec := range records {
+			lastLSN = max(lastLSN, rec.LSN)
+			lastBegin = max(lastBegin, rec.TxnID&^types.TxnIDFlag)
+		}
+		db.tm.AdvanceTo(lastBegin)
 	}
 	if db.logger != nil {
-		if err := db.logger.Flush(); err != nil {
-			return stats, err
-		}
+		db.logger.SkipTo(lastLSN)
 	}
 	return stats, nil
 }
 
 // redoTxn re-applies one committed transaction's operations under a fresh
-// transaction, re-logging them (and the commit) when a WAL is attached.
+// transaction, without logging them.
 func (db *DB) redoTxn(group wal.TxnOps, stats *RecoverStats) error {
 	cpRecoverPreRedo.Hit() // crash here: double-crash mid-replay
 	tx := db.tm.Begin(txn.ReadCommitted)
-	relog := db.logger != nil
 	for _, rec := range group.Ops {
 		db.mu.RLock()
 		if rec.Table >= uint64(len(db.byID)) {
@@ -600,26 +602,8 @@ func (db *DB) redoTxn(group wal.TxnOps, stats *RecoverStats) error {
 			db.tm.Abort(tx)
 			return fmt.Errorf("lstore: redo txn %d LSN %d: %w", group.TxnID, rec.LSN, opErr)
 		}
-		if relog {
-			nrec := rec
-			nrec.LSN = 0
-			nrec.TxnID = tx.ID
-			if _, err := db.logger.Append(nrec); err != nil {
-				db.tm.Abort(tx)
-				return fmt.Errorf("lstore: re-log during recovery: %w", err)
-			}
-		}
 	}
-	// Gate the in-memory commit and its re-logged commit record together so
-	// a concurrent checkpoint cannot cut between them. The commit record is
-	// buffered (not flushed) — Recover flushes once at the end.
-	db.commitMu.RLock()
-	err := db.tm.Commit(tx)
-	if err == nil && relog {
-		_, err = db.logger.Append(wal.Record{Kind: wal.KindCommit, TxnID: tx.ID})
-	}
-	db.commitMu.RUnlock()
-	if err != nil {
+	if err := db.tm.Commit(tx); err != nil {
 		return fmt.Errorf("lstore: redo txn %d: %w", group.TxnID, err)
 	}
 	stats.RedoneTxns++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"lstore/internal/wal"
@@ -27,7 +26,9 @@ type WALFile = wal.FileSink
 
 // OpenWALFile opens (creating if absent) a file-backed WAL sink at path and
 // positions it to append after any bytes already durable there. A stale
-// truncation temp file from a crashed truncation is removed.
+// truncation temp file from a crashed truncation is removed. A database
+// opened WithWAL over a non-empty file continues that log; recover it from
+// the same file's bytes.
 func OpenWALFile(path string) (*WALFile, error) { return wal.OpenFileSink(path) }
 
 // FileCheckpointSink is a file-backed CheckpointSink: each image is written
@@ -52,36 +53,20 @@ func NewFileCheckpointSink(path string) (*FileCheckpointSink, error) {
 	return &FileCheckpointSink{path: path}, nil
 }
 
-// Checkpoint durably replaces the latest image: write temp, fsync, rename,
-// fsync the directory. Any failure keeps the previous image authoritative
-// (the background checkpointer then skips WAL truncation for the round).
+// Checkpoint durably replaces the latest image (wal.ReplaceFile: temp
+// file, fsync, rename, directory fsync). Any failure returns an error, so
+// the background checkpointer skips WAL truncation for the round; a failure
+// before the rename also keeps the previous image in place.
 func (s *FileCheckpointSink) Checkpoint(image []byte, info CheckpointInfo) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := wal.ReplaceFile(s.path, image)
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(image); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return err
+		return fmt.Errorf("lstore: checkpoint image: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return err
+		return fmt.Errorf("lstore: checkpoint image: %w", err)
 	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return err
-	}
-	syncDirBestEffort(filepath.Dir(s.path))
 	s.info = info
 	s.taken++
 	return nil
@@ -119,18 +104,6 @@ func (s *FileCheckpointSink) Taken() int {
 
 // Path returns the image path.
 func (s *FileCheckpointSink) Path() string { return s.path }
-
-// syncDirBestEffort fsyncs a directory so a rename inside it is durable.
-// Best-effort: some filesystems reject directory fsync; the rename itself
-// is still atomic.
-func syncDirBestEffort(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()  //nolint:errcheck // best-effort; see doc comment
-	d.Close() //nolint:errcheck // read-only handle
-}
 
 // CheckpointVerifyReport is the result of an offline checkpoint integrity
 // scan: frame-level verification (CRC, torn tail) plus structural

@@ -119,14 +119,12 @@ func (s *Store) ColdRangeImages(ts types.Timestamp) []RangeImage {
 // insert range into a sealed range holding the image's pages, then opens a
 // fresh insert range. Records keep their original commit timestamps — the
 // caller must afterwards be able to rely on the clock having passed them,
-// which InstallRangeImage guarantees via txn.Manager.AdvanceTo. row is
-// called once per visible row with its new base RID's key and decoded
-// values (the restore path re-logs them into the WAL); a nil row skips the
-// callback. Returns the number of visible rows installed.
+// which InstallRangeImage guarantees via txn.Manager.AdvanceTo. Returns
+// the number of visible rows installed.
 //
 // Only restore-time callers may use this: the unused-insert-range
 // precondition makes it safe, and a concurrent writer would violate it.
-func (s *Store) InstallRangeImage(img RangeImage, row func(key int64, vals []types.Value) error) (int, error) {
+func (s *Store) InstallRangeImage(img RangeImage) (int, error) {
 	if img.N != s.cfg.RangeSize || s.cfg.Layout == RowLayout {
 		return 0, ErrImageShape
 	}
@@ -221,21 +219,6 @@ func (s *Store) InstallRangeImage(img RangeImage, row func(key int64, vals []typ
 
 	if _, err := s.addInsertRange(); err != nil {
 		return installed, err
-	}
-
-	if row != nil {
-		vals := make([]types.Value, ncols)
-		for slot := 0; slot < img.N; slot++ {
-			if starts.Get(slot) == types.NullSlot {
-				continue
-			}
-			for c := range vals {
-				vals[c] = s.decodeValue(c, pages[c].Get(slot))
-			}
-			if err := row(types.DecodeInt64(keyPage.Get(slot)), vals); err != nil {
-				return installed, err
-			}
-		}
 	}
 	return installed, nil
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"lstore"
+	"lstore/internal/fault"
 )
 
 func kvSpec() TableSpec {
@@ -161,8 +162,8 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("reopen after drain: %v", err)
 	}
 	defer st2.Close()
-	if st2.Generation != st.Generation+1 {
-		t.Fatalf("generation %d after %d", st2.Generation, st.Generation)
+	if got := dirNames(t, dir); got != "ckpt wal" {
+		t.Fatalf("store directory holds %q, want only the log and the image", got)
 	}
 	if st2.Recovered.RedoneTxns != 0 {
 		t.Fatalf("drained store still replayed %d txns from the tail", st2.Recovered.RedoneTxns)
@@ -182,11 +183,49 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// dirNames lists dir's entries, sorted and space-separated.
+func dirNames(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return strings.Join(names, " ")
+}
+
+// insertKV commits one kv row per key in [lo, hi], with v = 10*key.
+func insertKV(t *testing.T, db *lstore.DB, lo, hi int) {
+	t.Helper()
+	tbl, _ := db.Table("kv")
+	for i := lo; i <= hi; i++ {
+		tx := db.Begin(lstore.ReadCommitted)
+		if err := tbl.Insert(tx, lstore.Row{"id": lstore.Int(int64(i)), "v": lstore.Int(int64(i * 10))}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// assertKVSum checks the kv table's row count and v-sum.
+func assertKVSum(t *testing.T, st *Store, rows, sum int64) {
+	t.Helper()
+	tbl, _ := st.DB.Table("kv")
+	gotSum, gotRows, err := tbl.Sum(st.DB.Now(), "v")
+	if err != nil || gotRows != rows || gotSum != sum {
+		t.Fatalf("recovered sum=%d rows=%d err=%v, want %d/%d", gotSum, gotRows, err, sum, rows)
+	}
+}
+
 // TestCrashRestartRecovers kills the server without a drain (no final
-// checkpoint) and reopens: the startup checkpoint plus the generation's
-// log tail must rebuild every committed transaction, and a second crash
-// mid-recovery (stale next-generation WAL left behind) must not confuse a
-// later open.
+// checkpoint) and reopens: the image plus the log tail must rebuild every
+// committed transaction. The reopened store continues the same log, so a
+// second crash after more commits loses nothing either.
 func TestCrashRestartRecovers(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(storeConfig(dir))
@@ -205,137 +244,140 @@ func TestCrashRestartRecovers(t *testing.T) {
 	// abandoned; its WAL file already holds every acked commit.)
 	st.DB.Close()
 
-	// A stale WAL from a hypothetical crashed recovery must be ignored
-	// and removed: only the committed generation's pair is authoritative.
-	stale := walGenPath(filepath.Join(dir, "wal"), st.Generation+7)
-	if err := os.WriteFile(stale, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	st2, err := OpenStore(storeConfig(dir))
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	defer st2.Close()
 	if st2.Recovered.RedoneTxns != 10 {
 		t.Fatalf("replayed %d txns from the tail, want 10", st2.Recovered.RedoneTxns)
 	}
-	tbl, _ := st2.DB.Table("kv")
-	sum, rows, err := tbl.Sum(st2.DB.Now(), "v")
-	if err != nil || rows != 10 || sum != 550 {
-		t.Fatalf("recovered sum=%d rows=%d err=%v, want 550/10", sum, rows, err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale WAL %s survived reopen (err=%v)", stale, err)
-	}
-}
+	assertKVSum(t, st2, 10, 550)
+	insertKV(t, st2.DB, 11, 12)
+	st2.DB.Close() // crash again
 
-// TestCrashBetweenStartupCheckpointAndGenCommit reproduces the window the
-// generation protocol exists for: a recovery that completed its startup
-// checkpoint (new-generation image durable on disk) but crashed before the
-// gen file committed the switch. Because images are generation-tagged, the
-// old pair is untouched — the next open must discard both partial
-// new-generation halves and replay identically, with no doubled effects
-// and no duplicate-key recovery failure.
-func TestCrashBetweenStartupCheckpointAndGenCommit(t *testing.T) {
-	dir := t.TempDir()
-	cfg := storeConfig(dir)
-	st, err := OpenStore(cfg)
+	st3, err := OpenStore(storeConfig(dir))
 	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := st.DB.Table("kv")
-	for i := 1; i <= 10; i++ {
-		tx := st.DB.Begin(lstore.ReadCommitted)
-		if err := tbl.Insert(tx, lstore.Row{"id": lstore.Int(int64(i)), "v": lstore.Int(int64(i * 10))}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.DB.Close() // crash 1: no drain — the 10 txns live in wal.<gen>'s tail
-	gen := st.Generation
-
-	// Crash 2, mid-recovery: run the second open's work by hand — recover
-	// the gen pair into a fresh gen+1 WAL, write the gen+1 startup
-	// checkpoint — and then "die" before writeGeneration. This is exactly
-	// the state a process kill in that window leaves on disk: complete
-	// ckpt.<gen+1> and wal.<gen+1>, gen file still naming gen.
-	tail, err := os.ReadFile(walGenPath(cfg.WALPath, gen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := lstore.NewFileCheckpointSink(ckptGenPath(cfg.CheckpointPath, gen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	walSink, err := lstore.OpenWALFile(walGenPath(cfg.WALPath, gen+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2 := lstore.Open(lstore.WithWAL(walSink, nil))
-	schemaReader, _, ok := prev.Latest()
-	if !ok {
-		t.Fatal("generation image missing")
-	}
-	decls, err := lstore.CheckpointSchema(schemaReader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range decls {
-		if _, err := db2.CreateTable(d.Name, d.Schema(), lstore.TableOptions{SecondaryIndexes: d.SecondaryIndexes}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ckptReader, _, _ := prev.Latest()
-	if _, err := lstore.Recover(db2, ckptReader, bytes.NewReader(tail)); err != nil {
-		t.Fatal(err)
-	}
-	next, err := lstore.NewFileCheckpointSink(ckptGenPath(cfg.CheckpointPath, gen+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db2.CheckpointTo(next); err != nil {
-		t.Fatal(err)
-	}
-	db2.Close() // crash 2: writeGeneration never ran
-
-	// The old generation's image must still exist (a shared image path
-	// would have been overwritten by the gen+1 startup checkpoint above).
-	if _, err := os.Stat(ckptGenPath(cfg.CheckpointPath, gen)); err != nil {
-		t.Fatalf("old generation's image gone before the gen commit: %v", err)
-	}
-
-	st3, err := OpenStore(cfg)
-	if err != nil {
-		t.Fatalf("reopen after crashed recovery: %v", err)
+		t.Fatalf("second reopen: %v", err)
 	}
 	defer st3.Close()
-	tbl3, _ := st3.DB.Table("kv")
-	sum, rows, err := tbl3.Sum(st3.DB.Now(), "v")
-	if err != nil || rows != 10 || sum != 550 {
-		t.Fatalf("recovered sum=%d rows=%d err=%v, want 550/10 (doubled effects = mixed-generation replay)", sum, rows, err)
+	if st3.Recovered.RedoneTxns != 12 {
+		t.Fatalf("second reopen replayed %d txns, want 12 from one continued log", st3.Recovered.RedoneTxns)
+	}
+	assertKVSum(t, st3, 12, 780)
+	if got := dirNames(t, dir); got != "ckpt wal" {
+		t.Fatalf("store directory holds %q, want only the log and the image", got)
 	}
 }
 
-// TestMissingImageRefusesPartialRecovery: when the gen file names a
-// generation whose image is gone, the WAL tail alone cannot rebuild the
-// store (it only holds records above the image's watermark) — OpenStore
-// must refuse loudly instead of silently serving a near-empty database.
+// TestDoubleCrashDuringRecovery kills the process a second time inside the
+// restart itself — at the log's tail cut, between image restore and redo,
+// mid-redo, and before the checkpoint that makes a new spec table durable —
+// and then reopens. Recovery writes nothing, so every kill leaves the same
+// (image, log) pair behind, and the reopen must land on exactly the
+// committed state, new table included.
+func TestDoubleCrashDuringRecovery(t *testing.T) {
+	defer fault.Reset()
+	for _, point := range []string{
+		"wal.reopen.pre-cut",
+		"recover.post-restore",
+		"recover.pre-redo-txn",
+		"server.open.pre-ddl-checkpoint",
+	} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := OpenStore(storeConfig(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			insertKV(t, st.DB, 1, 10)
+			st.DB.Close() // crash 1: the 10 txns live only in the log
+
+			// The restart also adds a spec table, so it must checkpoint.
+			cfg := storeConfig(dir)
+			cfg.Tables = append(cfg.Tables, TableSpec{Name: "extra", Key: "k",
+				Columns: []lstore.Column{{Name: "k", Type: lstore.Int64}}})
+			fault.Reset()
+			fault.Trip(point, 1)
+			if crash := fault.RunToCrash(func() { OpenStore(cfg) }); crash == nil { //nolint:errcheck // killed mid-open
+				t.Fatalf("restart never reached %s", point)
+			}
+
+			st2, err := OpenStore(cfg)
+			if err != nil {
+				t.Fatalf("reopen after the double crash: %v", err)
+			}
+			assertKVSum(t, st2, 10, 550)
+			if _, ok := st2.DB.Table("extra"); !ok {
+				t.Fatal("spec table missing after reopen")
+			}
+			insertKV(t, st2.DB, 11, 11)
+			st2.DB.Close() // crash 3: the new table exists only through the image
+
+			st3, err := OpenStore(storeConfig(dir))
+			if err != nil {
+				t.Fatalf("third open: %v", err)
+			}
+			defer st3.Close()
+			assertKVSum(t, st3, 11, 660)
+			if _, ok := st3.DB.Table("extra"); !ok {
+				t.Fatal("spec table not durable after its open-time checkpoint")
+			}
+		})
+	}
+}
+
+// TestMissingImageRefusesPartialRecovery: the log holds only the tail above
+// the image's watermark, so without the image it cannot rebuild the store —
+// OpenStore must refuse loudly instead of silently serving a near-empty
+// database. A torn image is refused too, and left in place: treating it as
+// absent would let the bootstrap checkpoint overwrite the only copy.
 func TestMissingImageRefusesPartialRecovery(t *testing.T) {
-	dir := t.TempDir()
-	cfg := storeConfig(dir)
-	st, err := OpenStore(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		damage func(path string) error
+		want   string
+	}{
+		{"missing", os.Remove, "no complete image"},
+		{"torn", func(path string) error { return os.Truncate(path, 20) }, "checkpoint"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := storeConfig(dir)
+			st, err := OpenStore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insertKV(t, st.DB, 1, 3)
+			st.DB.Close()
+			if err := tc.damage(st.CkptFile); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := os.ReadFile(st.CkptFile)
+			if _, err := OpenStore(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenStore with a %s image: err=%v, want a refusal mentioning %q", tc.name, err, tc.want)
+			}
+			if after, _ := os.ReadFile(st.CkptFile); !bytes.Equal(before, after) {
+				t.Fatal("the refused open rewrote the image")
+			}
+		})
 	}
-	st.DB.Close()
-	if err := os.Remove(st.CkptFile); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStore(cfg); err == nil || !strings.Contains(err.Error(), "no complete image") {
-		t.Fatalf("OpenStore with missing image: err=%v, want refusal", err)
+}
+
+// TestOpenStoreRefusesOldLayout: a directory written by the generation
+// protocol of earlier versions must not be mistaken for a fresh store.
+func TestOpenStoreRefusesOldLayout(t *testing.T) {
+	for _, old := range []string{"wal.gen", "wal.000003"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, old), []byte("3\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenStore(storeConfig(dir))
+		if err == nil || !strings.Contains(err.Error(), "old generation-tagged layout") {
+			t.Fatalf("OpenStore beside %s: err=%v, want a refusal naming the old layout", old, err)
+		}
+		if got := dirNames(t, dir); got != old {
+			t.Fatalf("refused open left %q behind, want only %s", got, old)
+		}
 	}
 }
 

@@ -1,55 +1,40 @@
-// Durable store open/recover for the serving layer.
+// Durable store open/recover for the serving layer: one log at
+// StoreConfig.WALPath and one checkpoint image at StoreConfig.CheckpointPath.
 //
-// The subtlety this file exists for: Recover RE-LOGS everything it applies
-// into the new WAL with fresh LSNs, so after a restart there are two LSN
-// sequences in play — the pre-crash generation (old checkpoint + old log)
-// and the new one. Mixing them is silently wrong: a checkpoint watermark
-// from one generation filters a log tail from another into either double
-// replay or dropped transactions. The protocol below makes generations
-// explicit so a (checkpoint, tail) pair is only ever consumed when both
-// sides are from the same generation:
+// Recovery logs nothing, so the image and the log always share one LSN
+// sequence: the image's watermark says which logged transactions it already
+// holds, and the log continues across restarts. Opening is therefore open →
+// recover → continue:
 //
-//   - BOTH halves of a pair are named by generation: WAL files live at
-//     <wal>.<generation>, checkpoint images at <ckpt>.<generation>, and a
-//     generation file <wal>.gen (atomically replaced) names the generation
-//     whose pair is authoritative. Tagging the image too is what makes the
-//     protocol crash-safe: a single shared image path would be overwritten
-//     by the startup checkpoint BEFORE the gen write commits the new pair,
-//     so a crash in that window leaves the old generation's WAL tail paired
-//     with a new-generation image whose watermark belongs to a different
-//     LSN sequence — transactions already inside the image replay again.
+//   - read the image's schema and re-create its tables;
+//   - open the log (the logger cuts a torn tail before the first append);
+//   - Recover(image, log): restore the image, redo the commits above its
+//     watermark;
+//   - create spec tables the image does not know, and only then checkpoint,
+//     because table creation is durable only through the image;
+//   - start the background checkpointer, which keeps replacing the image
+//     and truncating the log beneath its watermark.
 //
-//   - Startup reads gen G, deletes WAL files and checkpoint images of any
-//     other generation (leftovers of crashed recoveries — G is
-//     authoritative until the new pair is complete), recovers from
-//     ckpt.G+wal.G into a FRESH wal.G+1, checkpoints into a FRESH
-//     ckpt.G+1 (wal.G+1 truncated beneath its watermark), and only then
-//     commits the new generation by writing G+1 to the gen file. A crash
-//     anywhere before that write leaves the G pair untouched on disk —
-//     the next startup removes the partial G+1 files and replays the
-//     exact same recovery; a crash after it restarts from the complete
-//     G+1 pair. The G pair's files are deleted only after the commit.
-//
-//   - While serving, the background checkpointer keeps replacing ckpt.G+1
-//     with newer G+1-watermarked images and truncating wal.G+1 —
-//     in-generation, always a valid pair. The checkpointer is started only
-//     AFTER the generation commit (lstore.StartCheckpointer, not
-//     WithCheckpointEvery at Open): a tick during recovery would overwrite
-//     the image mid-rebuild with the same mixed-generation hazard.
+// A crash anywhere in this sequence leaves the log and the image as a valid
+// pair: recovery writes neither, the tail cut drops only bytes no reader
+// replays, and the checkpoint replaces the image atomically.
 package server
 
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"lstore"
+	"lstore/internal/fault"
 )
+
+// cpOpenPreDDLCheckpoint sits between bootstrapping new tables and the
+// checkpoint that makes them durable (a no-op in production).
+var cpOpenPreDDLCheckpoint = fault.Register("server.open.pre-ddl-checkpoint")
 
 // TableSpec declares one table for bootstrap of a fresh store. On restart
 // the checkpoint image's recorded schema is authoritative; specs only add
@@ -63,11 +48,10 @@ type TableSpec struct {
 
 // StoreConfig configures OpenStore.
 type StoreConfig struct {
-	// WALPath is the base path; generation files live at WALPath.<gen> and
-	// the generation marker at WALPath.gen.
+	// WALPath is the log file, continued across restarts.
 	WALPath string
-	// CheckpointPath is the base path; generation images live at
-	// CheckpointPath.<gen>, each atomically replaced in-generation.
+	// CheckpointPath is the image file, atomically replaced by each
+	// checkpoint.
 	CheckpointPath string
 	// CheckpointEvery runs the background checkpointer (0 = only explicit
 	// checkpoints: after DDL and at drain).
@@ -78,74 +62,37 @@ type StoreConfig struct {
 	NoGroupCommit bool
 }
 
-// Store is an opened durable store: the DB plus the sinks and identity the
-// serving layer needs for DDL/drain checkpoints.
+// Store is an opened durable store: the DB plus the image sink the serving
+// layer needs for DDL/drain checkpoints.
 type Store struct {
 	DB         *lstore.DB
-	Checkpoint *lstore.FileCheckpointSink // this generation's image sink
-	Generation uint64                     // the committed recovery generation
-	WALFile    string                     // active log: WALPath.<Generation>
-	CkptFile   string                     // active image: CheckpointPath.<Generation>
+	Checkpoint *lstore.FileCheckpointSink // the image sink
+	CkptFile   string                     // the image path
 	Recovered  lstore.RecoverStats        // what startup recovery replayed
+	wal        *lstore.WALFile
 }
 
-// OpenStore opens (creating if absent) the store rooted at cfg.WALPath /
-// cfg.CheckpointPath, recovering any previous state. On return the store
-// is fully durable again: schema and data are covered by a fresh
-// checkpoint plus the (truncated) new log, and the old generation's files
-// are gone.
+// OpenStore opens (creating if absent) the store at cfg.WALPath and
+// cfg.CheckpointPath, recovering any previous state. It refuses a log
+// without a complete image to pair it with, and the generation-tagged
+// layout of earlier versions.
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	if cfg.WALPath == "" || cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("server: OpenStore needs both a WAL path and a checkpoint path")
 	}
-	gen, err := readGeneration(cfg.WALPath)
+	if err := refuseOldLayout(cfg.WALPath); err != nil {
+		return nil, err
+	}
+	ckptSink, err := lstore.NewFileCheckpointSink(cfg.CheckpointPath)
 	if err != nil {
 		return nil, err
 	}
-	if err := removeStaleGenFiles(cfg.WALPath, gen); err != nil {
-		return nil, err
+	image, err := os.ReadFile(cfg.CheckpointPath)
+	haveImage := err == nil
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("server: read checkpoint image: %w", err)
 	}
-	if err := removeStaleGenFiles(cfg.CheckpointPath, gen); err != nil {
-		return nil, err
-	}
-	if _, err := os.Stat(cfg.CheckpointPath); err == nil {
-		// A bare, generation-less image cannot be paired with any log;
-		// loading it could silently drop or double-replay a tail.
-		return nil, fmt.Errorf("server: unpaired checkpoint image at %s (images live at %s.<generation>) — refusing to guess",
-			cfg.CheckpointPath, cfg.CheckpointPath)
-	}
-
-	// Recovery sources: generation gen's pair. A missing WAL file is fine
-	// (a drain checkpoint may have truncated it to nothing); a missing or
-	// torn image is not — wal.gen holds only the tail above the image's
-	// watermark, so without the image the pair cannot rebuild the store.
-	var tail []byte
-	var ckptReader io.Reader
-	var prevSink *lstore.FileCheckpointSink
-	haveCkpt := false
-	if gen > 0 {
-		b, err := os.ReadFile(walGenPath(cfg.WALPath, gen))
-		if err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("server: read WAL generation %d: %w", gen, err)
-		}
-		tail = b
-		prevSink, err = lstore.NewFileCheckpointSink(ckptGenPath(cfg.CheckpointPath, gen))
-		if err != nil {
-			return nil, err
-		}
-		ckptReader, _, haveCkpt = prevSink.Latest()
-		if !haveCkpt {
-			return nil, fmt.Errorf("server: generation file names %d but no complete image at %s — refusing a partial recovery",
-				gen, ckptGenPath(cfg.CheckpointPath, gen))
-		}
-	}
-
-	newGen := gen + 1
-	ckptSink, err := lstore.NewFileCheckpointSink(ckptGenPath(cfg.CheckpointPath, newGen))
-	if err != nil {
-		return nil, err
-	}
-	walSink, err := lstore.OpenWALFile(walGenPath(cfg.WALPath, newGen))
+	walSink, err := lstore.OpenWALFile(cfg.WALPath)
 	if err != nil {
 		return nil, err
 	}
@@ -156,21 +103,30 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	db := lstore.Open(opts...)
 	fail := func(err error) (*Store, error) {
 		db.Close()
-		// Next startup would remove these as stale anyway; gen is untouched.
-		os.Remove(walGenPath(cfg.WALPath, newGen))         //nolint:errcheck // best-effort cleanup
-		os.Remove(ckptGenPath(cfg.CheckpointPath, newGen)) //nolint:errcheck // best-effort cleanup
+		walSink.Close() //nolint:errcheck // the open already failed
 		return nil, err
+	}
+	if err := db.WALInfo().Err; err != nil {
+		return fail(fmt.Errorf("server: reopen WAL %s: %w", cfg.WALPath, err))
+	}
+	log, err := walSink.Retained()
+	if err != nil {
+		return fail(err)
+	}
+	if len(log) > 0 && !haveImage {
+		// The log holds only the tail above the image's watermark: without
+		// the image it cannot rebuild the store.
+		return fail(fmt.Errorf("server: WAL %s is not empty but there is no complete image at %s — refusing a partial recovery",
+			cfg.WALPath, cfg.CheckpointPath))
 	}
 
 	// Schema first: Recover replays into tables that must already exist,
-	// with the same ids (creation order). The image records the schema;
-	// table creation is not WAL-logged.
-	if haveCkpt {
-		schemaReader, _, ok := prevSink.Latest()
-		if !ok {
-			return fail(fmt.Errorf("server: checkpoint disappeared during open"))
-		}
-		decls, err := lstore.CheckpointSchema(schemaReader)
+	// with the same ids (creation order). A torn or corrupt image fails
+	// here or in Recover — it is never treated as absent, which would let
+	// the next checkpoint overwrite the only copy of the data.
+	st := &Store{DB: db, Checkpoint: ckptSink, CkptFile: cfg.CheckpointPath, wal: walSink}
+	if haveImage {
+		decls, err := lstore.CheckpointSchema(bytes.NewReader(image))
 		if err != nil {
 			return fail(fmt.Errorf("server: checkpoint schema: %w", err))
 		}
@@ -179,31 +135,16 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 				return fail(fmt.Errorf("server: recreate table %q: %w", d.Name, err))
 			}
 		}
-	}
-	st := &Store{
-		DB:         db,
-		Checkpoint: ckptSink,
-		Generation: newGen,
-		WALFile:    walGenPath(cfg.WALPath, newGen),
-		CkptFile:   ckptGenPath(cfg.CheckpointPath, newGen),
-	}
-	if haveCkpt || len(tail) > 0 {
-		var tailReader io.Reader
-		if len(tail) > 0 {
-			tailReader = bytes.NewReader(tail)
+		if st.Recovered, err = lstore.Recover(db, bytes.NewReader(image), bytes.NewReader(log)); err != nil {
+			return fail(fmt.Errorf("server: recover: %w", err))
 		}
-		if !haveCkpt {
-			ckptReader = nil
-		}
-		stats, err := lstore.Recover(db, ckptReader, tailReader)
-		if err != nil {
-			return fail(fmt.Errorf("server: recover generation %d: %w", gen, err))
-		}
-		st.Recovered = stats
 	}
+
 	// Bootstrap tables the image does not know about (fresh store, or new
-	// specs added across a restart). After Recover: their ids must come
-	// after every replayed table's.
+	// specs added across a restart), after Recover: their ids must come
+	// after every replayed table's. New tables — and a brand-new store —
+	// become durable only through a checkpoint.
+	created := !haveImage
 	for _, spec := range cfg.Tables {
 		if _, ok := db.Table(spec.Name); ok {
 			continue
@@ -212,123 +153,42 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 			lstore.TableOptions{SecondaryIndexes: spec.Indexes}); err != nil {
 			return fail(fmt.Errorf("server: create table %q: %w", spec.Name, err))
 		}
+		created = true
 	}
-
-	// Complete the new generation's pair (image at ckpt.newGen with a
-	// newGen watermark; wal.newGen truncated beneath it), then commit the
-	// generation switch. The gen write is the commit point: until it lands,
-	// the G pair is untouched on disk and a crash replays from it; after
-	// it, the complete newGen pair is authoritative and the G files are
-	// deleted (best-effort — a later startup removes them as stale).
-	if _, err := db.CheckpointTo(ckptSink); err != nil {
-		return fail(fmt.Errorf("server: startup checkpoint: %w", err))
+	if created {
+		cpOpenPreDDLCheckpoint.Hit() // crash here: new tables exist only in memory
+		if _, err := db.CheckpointTo(ckptSink); err != nil {
+			return fail(fmt.Errorf("server: checkpoint new tables: %w", err))
+		}
 	}
-	if err := writeGeneration(cfg.WALPath, newGen); err != nil {
-		return fail(err)
-	}
-	if gen > 0 {
-		os.Remove(walGenPath(cfg.WALPath, gen))         //nolint:errcheck // best-effort; next startup removes it as stale
-		os.Remove(ckptGenPath(cfg.CheckpointPath, gen)) //nolint:errcheck // best-effort; next startup removes it as stale
-	}
-	// Only now — with the newGen pair committed — may background
-	// checkpoints start replacing the image (always in-generation). Not
-	// fail() on error: the newGen pair is committed and must survive.
 	if cfg.CheckpointEvery > 0 {
 		if err := db.StartCheckpointer(cfg.CheckpointEvery, ckptSink); err != nil {
-			db.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	return st, nil
 }
 
-// Close stops background work and closes the DB (without a final
-// checkpoint — Server.Shutdown does the drain sequence).
-func (st *Store) Close() { st.DB.Close() }
-
-// ---------------------------------------------------------------------------
-// Generation bookkeeping
-
-func genPath(walPath string) string { return walPath + ".gen" }
-
-func walGenPath(walPath string, gen uint64) string {
-	return fmt.Sprintf("%s.%06d", walPath, gen)
+// Close stops background work, closes the DB and then the log file
+// (without a final checkpoint — Server.Shutdown does the drain sequence).
+func (st *Store) Close() {
+	st.DB.Close()
+	st.wal.Close() //nolint:errcheck // every commit already flushed and synced
 }
 
-func ckptGenPath(ckptPath string, gen uint64) string {
-	return fmt.Sprintf("%s.%06d", ckptPath, gen)
-}
-
-func readGeneration(walPath string) (uint64, error) {
-	b, err := os.ReadFile(genPath(walPath))
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("server: read generation file: %w", err)
-	}
-	gen, perr := strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64)
-	if perr != nil || gen == 0 {
-		return 0, fmt.Errorf("server: generation file %s is corrupt (%q)", genPath(walPath), b)
-	}
-	return gen, nil
-}
-
-// writeGeneration atomically replaces the generation marker: temp file,
-// fsync, rename, directory fsync — the same discipline as the checkpoint
-// image, because this write is what commits a recovery.
-func writeGeneration(walPath string, gen uint64) error {
-	path := genPath(walPath)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: write generation file: %w", err)
-	}
-	if _, err := fmt.Fprintf(f, "%d\n", gen); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return fmt.Errorf("server: write generation file: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return fmt.Errorf("server: sync generation file: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return fmt.Errorf("server: close generation file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return fmt.Errorf("server: commit generation file: %w", err)
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()  //nolint:errcheck // best-effort; rename itself is atomic
-		d.Close() //nolint:errcheck // read-only handle
-	}
-	return nil
-}
-
-// removeStaleGenFiles deletes generation-suffixed files (base.<NNNNNN> —
-// WAL logs or checkpoint images) of generations other than gen: newer ones
-// are partial halves of recoveries that crashed before committing their
-// generation, older ones are superseded.
-func removeStaleGenFiles(base string, gen uint64) error {
-	matches, err := filepath.Glob(base + ".*")
+// refuseOldLayout rejects a directory written by the generation protocol of
+// earlier versions (a <wal>.gen marker, <wal>.NNNNNN logs): opening next to
+// it would bootstrap an empty store beside the real data.
+func refuseOldLayout(walPath string) error {
+	matches, err := filepath.Glob(walPath + ".*")
 	if err != nil {
 		return err
 	}
 	for _, m := range matches {
-		suffix := strings.TrimPrefix(m, base+".")
-		g, perr := strconv.ParseUint(suffix, 10, 64)
-		if perr != nil {
-			continue // .gen, .tmp droppings — not a generation file
-		}
-		if g == gen {
-			continue
-		}
-		if err := os.Remove(m); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("server: remove stale %s: %w", m, err)
+		suffix := strings.TrimPrefix(m, walPath+".")
+		if suffix == "gen" || (suffix != "" && strings.Trim(suffix, "0123456789") == "") {
+			return fmt.Errorf("server: %s belongs to the old generation-tagged layout (<wal>.gen, <wal>.NNNNNN, <checkpoint>.NNNNNN); "+
+				"this version keeps one log at %s — refusing to open beside it", m, walPath)
 		}
 	}
 	return nil

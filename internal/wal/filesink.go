@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -21,15 +22,16 @@ import (
 //     so a retried sync that "succeeds" proves nothing — the fsyncgate
 //     rule. The Logger above applies the same rule to itself.
 //
-//   - DropPrefix truncates by rewrite-and-rename: the retained suffix is
-//     written to a temp file in the same directory, fsynced, renamed over
-//     the log, and the directory fsynced. A crash at any point leaves
-//     either the old file (prefix not yet dropped — harmless, replay is
-//     idempotent above the checkpoint watermark) or the new one; the
-//     half-written temp file is ignored and removed by OpenFileSink.
+//   - DropPrefix truncates by rewrite-and-rename (ReplaceFile). A crash at
+//     any point leaves either the old file (prefix not yet dropped —
+//     harmless, replay is idempotent above the checkpoint watermark) or the
+//     new one; the half-written temp file is ignored and removed by
+//     OpenFileSink.
 //
 //   - The file's content is exactly the retained log bytes: reopening after
-//     a crash needs no sidecar state, Recover just reads the file.
+//     a crash needs no sidecar state. A Logger attached to the reopened
+//     sink continues the log: it cuts a torn tail (cutTail) and numbers new
+//     records after the retained ones.
 type FileSink struct {
 	mu   sync.Mutex
 	f    *os.File // guarded by mu; swapped by DropPrefix
@@ -38,14 +40,13 @@ type FileSink struct {
 	err  error    // guarded by mu; sticky after a failed sync (fsyncgate)
 }
 
-// tmpSuffix names the rewrite-and-rename scratch file; OpenFileSink removes
-// a stale one left by a crash mid-truncation.
-const tmpSuffix = ".truncating"
+// tmpSuffix names ReplaceFile's scratch file; openers remove a stale one
+// left by a crash mid-replacement.
+const tmpSuffix = ".tmp"
 
 // OpenFileSink opens (creating if needed) the log file at path for
 // appending. An existing file is appended to — its content is the retained
-// log from the previous run; read it with Bytes or an os.Open before
-// handing the tail to recovery.
+// log from the previous run.
 func OpenFileSink(path string) (*FileSink, error) {
 	// A crash between writing and renaming the truncation temp file leaves
 	// it behind; it is scratch, never authoritative.
@@ -97,7 +98,9 @@ func (s *FileSink) Sync() error {
 }
 
 // DropPrefix discards the first n retained bytes by rewrite-and-rename.
-// The remaining bytes stay byte-exact.
+// The remaining bytes stay byte-exact. A failure before the rename leaves
+// the old file authoritative; a failure after it poisons the sink, because
+// the path may then name a file whose rename a power loss can undo.
 func (s *FileSink) DropPrefix(n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -114,37 +117,12 @@ func (s *FileSink) DropPrefix(n int64) error {
 	if _, err := s.f.ReadAt(rest, n); err != nil {
 		return fmt.Errorf("wal: truncate read: %w", err)
 	}
-	tmpPath := s.path + tmpSuffix
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	nf, err := ReplaceFile(s.path, rest)
 	if err != nil {
+		if errors.Is(err, errDirSync) {
+			s.err = fmt.Errorf("wal: file sink poisoned by truncation: %w", err)
+		}
 		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	if _, err := tmp.Write(rest); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: truncate write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: truncate sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: truncate close: %w", err)
-	}
-	if err := os.Rename(tmpPath, s.path); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: truncate rename: %w", err)
-	}
-	syncDir(filepath.Dir(s.path))
-	nf, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: reopen after truncate: %w", err)
-	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-		nf.Close()
-		return fmt.Errorf("wal: reopen after truncate: %w", err)
 	}
 	s.f.Close()
 	s.f = nf
@@ -152,16 +130,31 @@ func (s *FileSink) DropPrefix(n int64) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename inside it is durable. Best-effort:
-// some filesystems reject directory fsync; the rename itself is atomic
-// either way.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
+// cutTail discards every retained byte past the first n — the torn tail a
+// crash left — and makes the cut durable. A failure poisons the sink: the
+// file's length is then unknown.
+func (s *FileSink) cutTail(n int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
 	}
-	d.Sync() //nolint:errcheck // best-effort; see above
-	d.Close()
+	if n < 0 || n > s.size {
+		return fmt.Errorf("wal: cutTail(%d) with %d bytes retained", n, s.size)
+	}
+	err := s.f.Truncate(n)
+	if err == nil {
+		err = s.f.Sync()
+	}
+	if err == nil {
+		_, err = s.f.Seek(n, io.SeekStart)
+	}
+	if err != nil {
+		s.err = fmt.Errorf("wal: file sink poisoned by a failed tail cut: %w", err)
+		return s.err
+	}
+	s.size = n
+	return nil
 }
 
 // Len returns the number of retained bytes.
@@ -178,8 +171,8 @@ func (s *FileSink) Err() error {
 	return s.err
 }
 
-// Bytes reads back the retained bytes — the durable log — from the file.
-func (s *FileSink) Bytes() ([]byte, error) {
+// Retained reads back the retained bytes — the durable log — from the file.
+func (s *FileSink) Retained() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	buf := make([]byte, s.size)
@@ -194,4 +187,54 @@ func (s *FileSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.f.Close()
+}
+
+// errDirSync marks a ReplaceFile failure after the rename: the path
+// already names the new content, but the directory sync failed, so a power
+// loss may still bring the old file back.
+var errDirSync = errors.New("directory sync after rename failed")
+
+// ReplaceFile atomically replaces the file at path with data: it writes a
+// temp file beside path, fsyncs it, renames it over path and fsyncs the
+// directory. It returns the new file, open for reading and writing and
+// positioned at its end, so a caller that keeps appending never reopens
+// the path. An error before the rename leaves path untouched; after it
+// only the directory sync can fail, and then path names the new content
+// but a power loss may bring the old file back.
+func ReplaceFile(path string, data []byte) (*os.File, error) {
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%w: %v", errDirSync, err)
+	}
+	return f, nil
+}
+
+// syncDir fsyncs a directory so a rename inside it survives a power loss.
+// It is a variable so tests can make the step fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -33,7 +33,7 @@ func TestFileSinkMatchesBufferSink(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
-		fb, err := fs.Bytes()
+		fb, err := fs.Retained()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -70,7 +70,7 @@ func TestFileSinkMatchesBufferSink(t *testing.T) {
 		}
 	}
 	// The retained file replays to the same records as the buffer.
-	fb, _ := fs.Bytes()
+	fb, _ := fs.Retained()
 	recs, err := ReadAll(bytes.NewReader(fb))
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestFileSinkReopenAfterCrash(t *testing.T) {
 	if _, err := os.Stat(path + tmpSuffix); !os.IsNotExist(err) {
 		t.Fatal("stale truncation temp file survived reopen")
 	}
-	data, err := s2.Bytes()
+	data, err := s2.Retained()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +128,97 @@ func TestFileSinkReopenAfterCrash(t *testing.T) {
 	if len(recs) != 4 || recs[3].Kind != KindCommit {
 		t.Fatalf("reopened log replays %d records", len(recs))
 	}
-	// The reopened sink appends where the old one left off.
+	// A logger on the reopened sink continues the log: it cuts the torn
+	// tail, and its records follow the retained ones in LSN and in bytes.
 	l2 := NewLogger(s2, nil)
-	if _, err := l2.Append(Record{Kind: KindBegin, TxnID: 2}); err != nil {
-		t.Fatal(err)
+	if lsn, err := l2.Append(Record{Kind: KindBegin, TxnID: 2}); err != nil || lsn != 5 {
+		t.Fatalf("first append after reopen: LSN %d, err %v; want LSN 5", lsn, err)
 	}
 	if err := l2.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	data, err = s2.Retained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := Verify(bytes.NewReader(data)); rep.Records != 5 || rep.TornBytes != 0 || rep.LastLSN != 5 {
+		t.Fatalf("continued log: %d records up to LSN %d, %d torn bytes; want 5 clean records", rep.Records, rep.LastLSN, rep.TornBytes)
+	}
+}
+
+// TestReopenedLoggerTruncatesWholeRecords: a logger attached to a sink that
+// already holds records counts them, so a truncation right after the reopen
+// drops exactly the records at or below the watermark — never part of one.
+func TestReopenedLoggerTruncatesWholeRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sink func(t *testing.T) TruncatableSink
+	}{
+		{"buffer", func(t *testing.T) TruncatableSink { return &BufferSink{} }},
+		{"file", func(t *testing.T) TruncatableSink { return openTestFileSink(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := tc.sink(t)
+			l := NewLogger(sink, nil)
+			for i := uint64(1); i <= 6; i++ {
+				if _, err := l.Append(Record{Kind: KindInsert, TxnID: i, Key: i, Vals: make([]uint64, i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			l2 := NewLogger(sink, nil) // the reopen
+			if _, err := l2.Append(Record{Kind: KindCommit, TxnID: 7}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l2.TruncateTo(4); err != nil {
+				t.Fatal(err)
+			}
+			data, err := sink.(retainingSink).Retained()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := ReadAll(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 3 || recs[0].LSN != 5 || recs[2].LSN != 7 {
+				t.Fatalf("after reopen and TruncateTo(4): %d records from LSN %d; want LSNs 5..7", len(recs), recs[0].LSN)
+			}
+		})
+	}
+}
+
+// TestReplaceFileDirSyncFailure forces the directory sync after the rename
+// to fail. ReplaceFile must report it (the rename may not survive a power
+// loss), a checkpoint-style caller sees the error, and a file sink whose
+// truncation hit it is poisoned instead of writing on.
+func TestReplaceFileDirSyncFailure(t *testing.T) {
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(string) error { return errors.New("injected directory sync failure") }
+
+	path := filepath.Join(t.TempDir(), "image")
+	f, err := ReplaceFile(path, []byte("new"))
+	if !errors.Is(err, errDirSync) || f != nil {
+		t.Fatalf("ReplaceFile with a failing directory sync: file %v, err %v; want errDirSync", f, err)
+	}
+
+	s := openTestFileSink(t)
+	l := NewLogger(s, nil)
+	for i := uint64(1); i <= 3; i++ {
+		if _, err := l.Append(Record{Kind: KindInsert, TxnID: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.TruncateTo(1); !errors.Is(err, errDirSync) {
+		t.Fatalf("truncation over a failing directory sync: %v, want errDirSync", err)
+	}
+	if s.Err() == nil {
+		t.Fatal("file sink not poisoned after a failure past the rename")
+	}
+	if _, err := s.Write([]byte("x")); err == nil {
+		t.Fatal("write after a poisoning truncation succeeded")
 	}
 }
 

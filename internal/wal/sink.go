@@ -19,6 +19,17 @@ type TruncatableSink interface {
 	DropPrefix(n int64) error
 }
 
+// retainingSink is a sink that may already hold a log when a Logger
+// attaches to it: a log file reopened after a crash, or a buffer that
+// outlived its database. NewLogger continues that log instead of starting
+// a new one (Logger.resume).
+type retainingSink interface {
+	// Retained returns a copy of the bytes the sink already holds.
+	Retained() ([]byte, error)
+	// cutTail discards every byte past the first n.
+	cutTail(n int64) error
+}
+
 // BufferSink is an in-memory, mutex-guarded log sink supporting prefix
 // truncation. It is safe for concurrent use (the logger flushes from
 // multiple committers) and doubles as the recovery source via Reader.
@@ -45,6 +56,20 @@ func (b *BufferSink) DropPrefix(n int64) error {
 	b.buf = append(b.buf[:0], b.buf[n:]...)
 	return nil
 }
+
+// cutTail discards every retained byte past the first n.
+func (b *BufferSink) cutTail(n int64) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n < 0 || n > int64(len(b.buf)) {
+		return fmt.Errorf("wal: cutTail(%d) with %d bytes retained", n, len(b.buf))
+	}
+	b.buf = b.buf[:n]
+	return nil
+}
+
+// Retained returns a copy of the retained bytes (never fails).
+func (b *BufferSink) Retained() ([]byte, error) { return b.Bytes(), nil }
 
 // Bytes returns a copy of the retained bytes.
 func (b *BufferSink) Bytes() []byte {

@@ -33,11 +33,18 @@
 //     any transaction that could still commit — the database layer computes
 //     that safe point from its active-transaction table.
 //
+//   - reopen: a Logger attached to a sink that already holds a log (a file
+//     reopened after a crash) continues it. It cuts the torn tail at the
+//     last clean record, numbers new records after the retained ones, and
+//     tracks the retained records' offsets so a later truncation drops
+//     whole records only. Recovery redoes the log without logging anything.
+//
 // The Ownership-Relaying (OR) pageLSN protocol of §5.2 lives in or.go.
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,6 +65,7 @@ var (
 	cpFlushPostSync    = fault.Register("wal.flush.post-sync")
 	cpTruncatePreDrop  = fault.Register("wal.truncate.pre-drop")
 	cpTruncatePostDrop = fault.Register("wal.truncate.post-drop")
+	cpReopenPreCut     = fault.Register("wal.reopen.pre-cut")
 )
 
 // Kind tags a log record.
@@ -149,7 +157,7 @@ type Logger struct {
 
 	// Truncation bookkeeping (tracked only when the sink supports it).
 	trackOffsets bool        // immutable after NewLogger
-	written      int64       // guarded by mu; total bytes handed to the buffered writer
+	written      int64       // guarded by mu; bytes retained at attach plus bytes handed to the buffered writer
 	dropped      int64       // guarded by mu; bytes already discarded from the sink's front
 	offsets      []lsnOffset // guarded by mu; end offsets of retained records, ascending
 	truncated    uint64      // guarded by mu; highest LSN discarded by TruncateTo
@@ -185,7 +193,73 @@ func NewLogger(sink io.Writer, syncFn func()) *Logger {
 		group:        true,
 	}
 	l.gcWake = sync.NewCond(&l.gcMu)
+	if rs, ok := sink.(retainingSink); ok {
+		l.resume(rs)
+	}
 	return l
+}
+
+// resume continues the log rs already holds: the retained records keep
+// their LSNs and offsets, and the torn tail past the last record that
+// ReadAll would replay is cut before anything new is appended — otherwise
+// every new record would sit behind unreadable bytes. A failure poisons
+// the logger.
+func (l *Logger) resume(rs retainingSink) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	data, err := rs.Retained()
+	if err != nil {
+		l.poison(fmt.Errorf("reopen: %w", err))
+		return
+	}
+	if len(data) == 0 {
+		return
+	}
+	var (
+		end     int64
+		last    uint64
+		offsets []lsnOffset
+	)
+	scan := ScanFrames(bytes.NewReader(data), func(payload []byte) error {
+		rec, err := parsePayload(payload)
+		if err != nil {
+			return err
+		}
+		end += frameHdrSize + int64(len(payload))
+		last = max(last, rec.LSN)
+		offsets = append(offsets, lsnOffset{lsn: rec.LSN, end: end})
+		return nil
+	})
+	cpReopenPreCut.Hit() // crash here: log reopened, its torn tail (if any) still on disk
+	if scan.CleanBytes < int64(len(data)) {
+		if err := rs.cutTail(scan.CleanBytes); err != nil {
+			l.poison(fmt.Errorf("reopen: cut torn tail: %w", err))
+			return
+		}
+	}
+	if l.trackOffsets {
+		l.offsets = offsets
+	}
+	l.nextLSN = max(l.nextLSN, last+1)
+	l.written = scan.CleanBytes
+	l.flushed = l.nextLSN - 1
+}
+
+// SkipTo makes every later Append return an LSN above lsn. Recovery calls
+// it with the highest LSN the checkpoint image and the replayed log used,
+// so a continued log stays one increasing sequence even after truncation
+// emptied it. With nothing buffered, the skipped LSNs also count as
+// flushed: none of them names a record that could still be lost.
+func (l *Logger) SkipTo(lsn uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lsn < l.nextLSN {
+		return
+	}
+	if l.flushed == l.nextLSN-1 {
+		l.flushed = lsn
+	}
+	l.nextLSN = lsn + 1
 }
 
 // shortWriteGuard enforces the io.Writer contract on the sink: n < len(p)

@@ -38,7 +38,7 @@ func filePropertyLog(t *testing.T) propertyLog {
 		sink: s,
 		size: func() int { return int(s.Len()) },
 		dump: func() []byte {
-			data, err := s.Bytes()
+			data, err := s.Retained()
 			if err != nil {
 				t.Fatal(err)
 			}

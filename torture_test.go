@@ -27,7 +27,10 @@ import (
 // The same harness runs over the in-memory sinks and the file-backed sinks;
 // the file variant's "kill" closes every handle and re-reads the paths cold,
 // so truncation (rewrite-and-rename on disk) and checkpoint replacement
-// (write-temp-then-rename) are exercised against a real filesystem.
+// (write-temp-then-rename) are exercised against a real filesystem. Every
+// kill is recovered three ways: from the durable bytes into a log-less
+// database, continuing the surviving log, and through the production open
+// path (server.OpenStore) over copies of the durable files.
 
 // tortureScale stretches the suite for long-run mode: LSTORE_TORTURE_ITERS=n
 // multiplies workload sizes (CI sets it for the nightly deep sweep).
@@ -56,13 +59,22 @@ func tortureOpts() TableOptions {
 }
 
 // tortureDev is one durable "machine": a raw WAL device and a checkpoint
-// sink, plus the two cold-read accessors a post-kill recovery is allowed to
-// use. Nothing else survives the crash.
+// sink, plus the cold-read accessors a post-kill recovery is allowed to
+// use and the restart that reopens the log for appending. Nothing else
+// survives the crash.
 type tortureDev struct {
 	inner      io.Writer
 	ckpt       CheckpointSink
 	durableWAL func(t *testing.T) []byte
 	latestCkpt func(t *testing.T) ([]byte, bool)
+	reopen     func(t *testing.T) tortureLog
+}
+
+// tortureLog is the surviving WAL device as a restart reopens it: a sink
+// the new database continues, and the bytes it retained.
+type tortureLog interface {
+	io.Writer
+	Retained() ([]byte, error)
 }
 
 type tortureMedia struct {
@@ -92,6 +104,7 @@ func tortureMediaList() []tortureMedia {
 					}
 					return data, true
 				},
+				reopen: func(t *testing.T) tortureLog { return buf },
 			}
 		}},
 		{name: "file", open: func(t *testing.T) *tortureDev {
@@ -102,7 +115,8 @@ func tortureMediaList() []tortureMedia {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { ws.Close() })
+			live := ws // the handle the running database writes through
+			t.Cleanup(func() { live.Close() })
 			cs, err := NewFileCheckpointSink(ckptPath)
 			if err != nil {
 				t.Fatal(err)
@@ -113,13 +127,13 @@ func tortureMediaList() []tortureMedia {
 				durableWAL: func(t *testing.T) []byte {
 					// The kill: drop the live handle, reopen the path cold
 					// and read back what the disk holds.
-					ws.Close()
+					live.Close()
 					s2, err := OpenWALFile(walPath)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer s2.Close()
-					data, err := s2.Bytes()
+					data, err := s2.Retained()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -139,6 +153,15 @@ func tortureMediaList() []tortureMedia {
 						t.Fatal(err)
 					}
 					return data, true
+				},
+				reopen: func(t *testing.T) tortureLog {
+					live.Close() // the kill, if the previous run still held it
+					s, err := OpenWALFile(walPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = s
+					return s
 				},
 			}
 		}},
@@ -186,6 +209,22 @@ func sameTortureState(a, b map[int64]Row) bool {
 		}
 	}
 	return true
+}
+
+// openTortureDB opens a database on dev the way a durable store
+// bootstraps: table "t" is created and checkpointed before any commit, so
+// a non-empty log always has an image to pair with. plan injects faults on
+// the WAL device.
+func openTortureDB(t *testing.T, dev *tortureDev, plan ...fault.Rule) (*DB, *Table) {
+	t.Helper()
+	db := Open(WithWAL(fault.NewSink(dev.inner, plan...), nil))
+	db.ckptSink = dev.ckpt
+	tbl, err := db.CreateTable("t", ckptSchema(), tortureOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.checkpointRound()
+	return db, tbl
 }
 
 // tortureWorkload runs sequential random transactions (insert/update/delete
@@ -305,6 +344,106 @@ func recoverTorture(t *testing.T, durable, image []byte, haveCkpt bool) map[int6
 	return nil
 }
 
+// restartOn restarts the way a durable store does: a new database attaches
+// to the reopened log (cutting any torn tail), re-creates table "t" and
+// recovers the latest image plus the log's bytes. It keeps appending to
+// the same log.
+func restartOn(t *testing.T, dev *tortureDev) (*DB, *Table, RecoverStats) {
+	t.Helper()
+	log := dev.reopen(t)
+	db := Open(WithWAL(log, nil))
+	tbl, err := db.CreateTable("t", ckptSchema(), tortureOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := log.Retained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckptR io.Reader
+	if image, ok := dev.latestCkpt(t); ok {
+		ckptR = bytes.NewReader(image)
+	}
+	stats, err := Recover(db, ckptR, bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("recovery continuing the log failed: %v", err)
+	}
+	if err := db.WALInfo().Err; err != nil {
+		t.Fatalf("continued log is poisoned: %v", err)
+	}
+	db.ckptSink = dev.ckpt
+	return db, tbl, stats
+}
+
+// recoverContinuing is restartOn, started over from whatever the devices
+// then hold whenever a recovery-path crash point kills an attempt. The
+// returned database is live.
+func recoverContinuing(t *testing.T, dev *tortureDev) (map[int64]Row, *DB, *Table) {
+	t.Helper()
+	for attempt := 0; attempt < 4; attempt++ {
+		var (
+			db  *DB
+			tbl *Table
+		)
+		if crash := fault.RunToCrash(func() { db, tbl, _ = restartOn(t, dev) }); crash != nil {
+			continue // killed mid-restart; abandon db and start over
+		}
+		return tableState(t, tbl, db.Now()), db, tbl
+	}
+	t.Fatal("restart kept crashing after repeated attempts")
+	return nil, nil, nil
+}
+
+// OpenStoreForTorture is the production open path, server.OpenStore, over
+// a log file and an image file; it returns table "t"'s rows. The server
+// imports lstore, so only the external test package can reach it:
+// torture_store_test.go sets it.
+var OpenStoreForTorture func(walPath, ckptPath string) (map[int64]Row, error)
+
+// recoverViaStore copies the durable log and image into files and opens
+// them with OpenStoreForTorture, retrying when a crash point kills an
+// attempt (the retry opens whatever the killed attempt left on disk).
+func recoverViaStore(t *testing.T, durable, image []byte, haveCkpt bool) map[int64]Row {
+	t.Helper()
+	dir := t.TempDir()
+	walPath, ckptPath := filepath.Join(dir, "wal"), filepath.Join(dir, "ckpt")
+	if err := os.WriteFile(walPath, durable, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if haveCkpt {
+		if err := os.WriteFile(ckptPath, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for attempt := 0; attempt < 4; attempt++ {
+		var (
+			state map[int64]Row
+			err   error
+		)
+		if crash := fault.RunToCrash(func() { state, err = OpenStoreForTorture(walPath, ckptPath) }); crash != nil {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("store open of the durable files failed: %v", err)
+		}
+		return state
+	}
+	t.Fatal("store open kept crashing after repeated attempts")
+	return nil
+}
+
+// restartEveryWay recovers a killed run three ways — from the durable
+// bytes, through the store open path, and continuing the surviving log —
+// and holds each result to the committed-prefix oracle.
+func restartEveryWay(t *testing.T, dev *tortureDev, run *tortureRun, durable, image []byte, haveCkpt bool, label string) {
+	t.Helper()
+	assertCommittedPrefix(t, run, recoverTorture(t, durable, image, haveCkpt), label)
+	assertCommittedPrefix(t, run, recoverViaStore(t, durable, image, haveCkpt), label+", store open")
+	recovered, db, _ := recoverContinuing(t, dev)
+	db.Close()
+	assertCommittedPrefix(t, run, recovered, label+", continuing the log")
+}
+
 func assertCommittedPrefix(t *testing.T, run *tortureRun, recovered map[int64]Row, label string) {
 	t.Helper()
 	for j := len(run.states) - 1; j >= run.acked; j-- {
@@ -340,19 +479,13 @@ func calibrateTorture(t *testing.T, media tortureMedia, seed int64, commits int)
 	fault.Reset()
 	fault.EnableCounting()
 	dev := media.open(t)
-	db := Open(WithWAL(fault.NewSink(dev.inner), nil))
-	db.ckptSink = dev.ckpt
-	tbl, err := db.CreateTable("t", ckptSchema(), tortureOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, tbl := openTortureDB(t, dev)
 	run := newTortureRun()
 	tortureWorkload(db, tbl, rand.New(rand.NewSource(seed)), commits, run)
 	db.Close()
 	durable := dev.durableWAL(t)
 	image, haveCkpt := dev.latestCkpt(t)
-	recovered := recoverTorture(t, durable, image, haveCkpt)
-	assertCommittedPrefix(t, run, recovered, "calibration")
+	restartEveryWay(t, dev, run, durable, image, haveCkpt, "calibration")
 	hits := map[string]int64{}
 	for _, name := range fault.Points() {
 		hits[name] = fault.Hits(name)
@@ -366,12 +499,7 @@ func runCrashScenario(t *testing.T, media tortureMedia, point string, nth int, p
 	fault.Reset()
 	defer fault.Reset()
 	dev := media.open(t)
-	db := Open(WithWAL(fault.NewSink(dev.inner, plan...), nil))
-	db.ckptSink = dev.ckpt
-	tbl, err := db.CreateTable("t", ckptSchema(), tortureOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, tbl := openTortureDB(t, dev, plan...)
 	run := newTortureRun()
 	rng := rand.New(rand.NewSource(seed))
 	fault.Trip(point, nth)
@@ -398,8 +526,7 @@ func runCrashScenario(t *testing.T, media tortureMedia, point string, nth int, p
 		}
 	}
 
-	recovered := recoverTorture(t, durable, image, haveCkpt)
-	assertCommittedPrefix(t, run, recovered, point)
+	restartEveryWay(t, dev, run, durable, image, haveCkpt, point)
 }
 
 // TestCrashTortureEveryPointEveryShape is the acceptance sweep: every
@@ -428,6 +555,48 @@ func TestCrashTortureEveryPointEveryShape(t *testing.T) {
 						runCrashScenario(t, media, p, nth, shape.plan, s, commits)
 					})
 				}
+			}
+		})
+	}
+}
+
+// TestCrashTortureContinueLog sweeps every crash point through TWO kills
+// on one log: a workload is killed at the point, the restart continues the
+// surviving log, a second workload on the recovered database is killed at
+// the same point, and a second restart continues the log again. Both
+// restarts must land on a committed prefix of their own run — the second
+// one reads the first run's records and the second run's appends as one
+// LSN sequence, through whatever truncations and torn tails the kills left.
+func TestCrashTortureContinueLog(t *testing.T) {
+	commits := 40 * tortureScale()
+	for _, media := range tortureMediaList() {
+		t.Run(media.name, func(t *testing.T) {
+			hits := calibrateTorture(t, media, 1, commits)
+			seed := int64(0xBEEF)
+			for _, p := range fault.Points() {
+				seed++
+				s := seed
+				nth := max(int(hits[p]+1)/2, 1)
+				t.Run(p, func(t *testing.T) {
+					fault.Reset()
+					defer fault.Reset()
+					rng := rand.New(rand.NewSource(s))
+					dev := media.open(t)
+					db, tbl := openTortureDB(t, dev)
+					run := newTortureRun()
+					fault.Trip(p, nth)
+					fault.RunToCrash(func() { tortureWorkload(db, tbl, rng, commits, run) })
+					state, db2, tbl2 := recoverContinuing(t, dev)
+					assertCommittedPrefix(t, run, state, p+", first restart")
+
+					run2 := newTortureRun()
+					run2.states[0] = state
+					fault.Trip(p, nth)
+					fault.RunToCrash(func() { tortureWorkload(db2, tbl2, rng, commits, run2) })
+					state, db3, _ := recoverContinuing(t, dev)
+					db3.Close()
+					assertCommittedPrefix(t, run2, state, p+", second restart")
+				})
 			}
 		})
 	}
@@ -612,7 +781,7 @@ func TestFileBackedRecoveryWithDiskTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws2.Close()
-	tail, err := ws2.Bytes()
+	tail, err := ws2.Retained()
 	if err != nil {
 		t.Fatal(err)
 	}
