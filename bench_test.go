@@ -273,8 +273,9 @@ func BenchmarkCumulativeVsChainReads(b *testing.B) {
 	}
 }
 
-// BenchmarkScanRangeCallback measures the full-table callback scan
-// (Table.Scan) — the ScanRange path through the shared scan engine.
+// BenchmarkScanRangeCallback measures the full-table callback scan that
+// materializes a Row map per record (Query.Rows + RowView.Row) — the
+// ScanRange path through the shared scan engine.
 func BenchmarkScanRangeCallback(b *testing.B) {
 	db := lstore.Open()
 	defer db.Close()
@@ -282,7 +283,7 @@ func BenchmarkScanRangeCallback(b *testing.B) {
 		lstore.Column{Name: "id", Type: lstore.Int64},
 		lstore.Column{Name: "v", Type: lstore.Int64},
 		lstore.Column{Name: "w", Type: lstore.Int64},
-	), lstore.TableOptions{RangeSize: 2048, DisableAutoMerge: true})
+	), lstore.TableOptions{RangeSize: 2048, DisableAutoMerge: true, ScanWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,7 +303,8 @@ func BenchmarkScanRangeCallback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if err := tbl.Scan(ts, []string{"v", "w"}, func(key int64, row lstore.Row) bool {
+		if err := tbl.Query().At(ts).Select("v", "w").Rows(func(rv *lstore.RowView) bool {
+			rv.Row() // materialize each record, as a Row-map consumer does
 			n++
 			return true
 		}); err != nil {
@@ -328,7 +330,7 @@ func BenchmarkPinnedScan(b *testing.B) {
 		lstore.Column{Name: "v", Type: lstore.Int64},
 		lstore.Column{Name: "w", Type: lstore.Int64},
 	), lstore.TableOptions{
-		RangeSize: 2048, DisableAutoMerge: true,
+		RangeSize: 2048, DisableAutoMerge: true, ScanWorkers: 1,
 		Spill: lstore.NewMemSpill(), PoolBytes: 24 << 10,
 	})
 	if err != nil {
@@ -364,7 +366,7 @@ func BenchmarkPinnedScan(b *testing.B) {
 // BenchmarkQueryFiltered is the acceptance benchmark for the query API:
 // a selective filter (~1% of rows) through Query's predicate pushdown
 // (vectorized word-skipping inside the scan engine, zero-alloc RowView
-// delivery) against the same filter applied in a Table.Scan callback
+// delivery) against the same filter applied in an unfiltered Rows callback
 // (every row materialized into a Row map, filtered caller-side).
 func BenchmarkQueryFiltered(b *testing.B) {
 	db, tbl, rows := queryBenchTable(b)
@@ -394,7 +396,8 @@ func BenchmarkQueryFiltered(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var n, total int64
-			err := tbl.Scan(ts, []string{"v", "w"}, func(key int64, row lstore.Row) bool {
+			err := tbl.Query().At(ts).Select("v", "w").Rows(func(rv *lstore.RowView) bool {
+				row := rv.Row()
 				if v := row["v"].Int(); v >= lo && v <= hi {
 					n++
 					total += row["w"].Int()
@@ -411,7 +414,7 @@ func BenchmarkQueryFiltered(b *testing.B) {
 
 // BenchmarkQueryAggregate measures the filtered aggregate kernels
 // (Sum/Count/Min/Max folded inside the scan engine) against the same
-// aggregation done in a Table.Scan callback.
+// aggregation done in an unfiltered Rows callback over materialized rows.
 func BenchmarkQueryAggregate(b *testing.B) {
 	db, tbl, rows := queryBenchTable(b)
 	defer db.Close()
@@ -435,7 +438,8 @@ func BenchmarkQueryAggregate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var sum, count, minV, maxV int64
 			seen := false
-			err := tbl.Scan(ts, []string{"v", "w"}, func(key int64, row lstore.Row) bool {
+			err := tbl.Query().At(ts).Select("v", "w").Rows(func(rv *lstore.RowView) bool {
+				row := rv.Row()
 				if v := row["v"].Int(); v >= lo && v <= hi {
 					w := row["w"].Int()
 					sum += w
@@ -467,7 +471,7 @@ func queryBenchTable(b *testing.B) (*lstore.DB, *lstore.Table, int) {
 		lstore.Column{Name: "id", Type: lstore.Int64},
 		lstore.Column{Name: "v", Type: lstore.Int64},
 		lstore.Column{Name: "w", Type: lstore.Int64},
-	), lstore.TableOptions{RangeSize: 2048, DisableAutoMerge: true})
+	), lstore.TableOptions{RangeSize: 2048, DisableAutoMerge: true, ScanWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,15 +489,15 @@ func queryBenchTable(b *testing.B) (*lstore.DB, *lstore.Table, int) {
 	return db, tbl, rows
 }
 
-// BenchmarkLookupSecondary measures secondary-index probes (Table.FindBy)
-// through the scan engine's point face.
+// BenchmarkLookupSecondary measures secondary-index probes (a Query Eq on
+// an indexed column) through the scan engine's point face.
 func BenchmarkLookupSecondary(b *testing.B) {
 	db := lstore.Open()
 	defer db.Close()
 	tbl, err := db.CreateTable("t", lstore.NewSchema("id",
 		lstore.Column{Name: "id", Type: lstore.Int64},
 		lstore.Column{Name: "grp", Type: lstore.Int64},
-	), lstore.TableOptions{RangeSize: 2048, DisableAutoMerge: true,
+	), lstore.TableOptions{RangeSize: 2048, DisableAutoMerge: true, ScanWorkers: 1,
 		SecondaryIndexes: []string{"grp"}})
 	if err != nil {
 		b.Fatal(err)
@@ -513,7 +517,7 @@ func BenchmarkLookupSecondary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		keys, err := tbl.FindBy(ts, "grp", lstore.Int(int64(i%512)))
+		keys, err := tbl.Query().At(ts).Where(lstore.Eq("grp", lstore.Int(int64(i%512)))).Keys()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -86,9 +86,12 @@ func TestCheckpointSchema(t *testing.T) {
 	}
 	// And the secondary index really exists on the rebuilt table.
 	tbl2, _ := db2.Table("accounts")
-	keys, err := tbl2.FindBy(db2.Now(), "owner", Str("o"))
+	if !tbl2.store.HasSecondary(tbl2.schema.ColIndex("owner")) {
+		t.Fatal("secondary index on owner not recreated")
+	}
+	keys, err := tbl2.Query().At(db2.Now()).Where(Eq("owner", Str("o"))).Keys()
 	if err != nil || len(keys) != 10 {
-		t.Fatalf("FindBy on recreated index: %d keys, err %v", len(keys), err)
+		t.Fatalf("probe on recreated index: %d keys, err %v", len(keys), err)
 	}
 }
 

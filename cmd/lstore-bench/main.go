@@ -9,13 +9,9 @@
 // Experiments: fig7a fig7b fig7c (scalability under low/medium/high
 // contention), fig8 (scan time vs merge batch), table7 (scan comparison),
 // fig9a fig9b (read/write-ratio sweeps), fig10a fig10c (mixed OLTP+OLAP),
-// table8 (row vs column scans), table9 (row vs column point reads),
-// query (the unified Query API: predicate pushdown and filtered aggregates
-// vs callback filtering, swept over selectivity), recover (restart time
-// after a simulated crash: full-log replay vs checkpoint + log tail, swept
-// over tail length), and serve (the HTTP service layer end to end: txn
-// throughput and latency with group commit on/off, plus admission-control
-// shedding under overload).
+// table8 (row vs column scans) and table9 (row vs column point reads).
+// Serving, beyond-RAM scans and restart are measured by the repository
+// benchmark in perfbench/.
 package main
 
 import (

@@ -154,7 +154,7 @@ func main() {
 	fmt.Printf("\nfinal: rows=%d sum(a)=%d\n", live, sum)
 
 	// Scan-engine gauges: how many slots the columnar fast path served vs
-	// the readCols chain walk, across every Sum/Scan/FindBy so far. A
+	// the readCols chain walk, across every Sum and Query so far. A
 	// growing slow share means update lineage is outrunning the merge.
 	st = tbl.Stats()
 	fmt.Printf("scan engine: workers=%d fast-slots=%d slow-slots=%d\n",

@@ -97,7 +97,6 @@ func main() {
 		maxBacklog  = flag.Int64("max-merge-backlog", 1<<16, "shed transactions above this summed merge backlog (negative = off)")
 		maxWALLag   = flag.Int64("max-wal-lag", 1<<16, "shed transactions above this WAL flush lag in records (negative = off)")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-		noGroup     = flag.Bool("no-group-commit", false, "one WAL flush (and fsync) per commit instead of group commit")
 		drainWithin = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests at shutdown")
 	)
 	var tables tableFlags
@@ -114,7 +113,6 @@ func main() {
 		CheckpointPath:  *ckptPath,
 		CheckpointEvery: *ckptEvery,
 		Tables:          tables,
-		NoGroupCommit:   *noGroup,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lstore-serve: open store: %v\n", err)

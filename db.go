@@ -65,10 +65,6 @@ type DB struct {
 	ckptStop chan struct{} // guarded by mu; non-nil once the checkpointer ran
 	ckptDone chan struct{} // guarded by mu
 	ckptOnce sync.Once
-
-	// noGroupCommit (WithoutGroupCommit) is applied to the logger once in
-	// Open, after every option has run; immutable afterwards.
-	noGroupCommit bool
 }
 
 // txnLSNs is one logged transaction's begin/commit record LSNs.
@@ -88,17 +84,6 @@ type Option func(*DB)
 // background checkpointer) so the log stops growing without bound.
 func WithWAL(sink io.Writer, syncFn func()) Option {
 	return func(db *DB) { db.logger = wal.NewLogger(sink, syncFn) }
-}
-
-// WithoutGroupCommit makes every commit run its own WAL flush (and fsync)
-// instead of batching concurrent committers onto one leader's flush. Group
-// commit is on by default — one flush vouches for every commit record it
-// covers, which is what makes an fsync-backed WALFile affordable under
-// concurrent writers. This option exists for benchmarks measuring the
-// batching against the flush-per-commit baseline, and for deployments that
-// want strict one-commit-one-fsync behavior regardless of load.
-func WithoutGroupCommit() Option {
-	return func(db *DB) { db.noGroupCommit = true }
 }
 
 // TruncatableSink is a WAL sink that can discard a durable prefix — the
@@ -141,7 +126,6 @@ type WALInfo struct {
 	FlushedLSN   uint64 // highest durable LSN (LastLSN-FlushedLSN = flush lag)
 	TruncatedLSN uint64 // highest LSN discarded by truncation (0 = none)
 	Syncs        int    // flush count (group-commit effectiveness)
-	GroupCommit  bool   // commits batch onto one leader's flush
 	GroupBatches int    // commit batches flushed by a leader
 	Err          error  // sticky poisoning error, nil while healthy
 }
@@ -162,7 +146,6 @@ func (db *DB) WALInfo() WALInfo {
 		FlushedLSN:   g.FlushedLSN,
 		TruncatedLSN: g.TruncatedLSN,
 		Syncs:        g.Syncs,
-		GroupCommit:  db.logger.GroupCommit(),
 		GroupBatches: db.logger.GroupBatches(),
 		Err:          g.Err,
 	}
@@ -187,9 +170,6 @@ func Open(opts ...Option) *DB {
 	}
 	for _, o := range opts {
 		o(db)
-	}
-	if db.logger != nil && db.noGroupCommit {
-		db.logger.SetGroupCommit(false)
 	}
 	return db
 }
@@ -236,8 +216,6 @@ func (db *DB) CreateTable(name string, schema Schema, opts ...TableOptions) (*Ta
 		MergeColumnsIndependently: o.MergeColumnsIndependently,
 		MergeWorkers:              o.MergeWorkers,
 		ScanWorkers:               o.ScanWorkers,
-		DisableCompression:        o.DisableCompression,
-		DisableEncodedScan:        o.DisableEncodedScan,
 		Spill:                     o.Spill,
 		PoolBytes:                 o.PoolBytes,
 		CheckpointSpillRefs:       o.CheckpointSpillRefs,
@@ -291,7 +269,7 @@ func (db *DB) TableNames() []string {
 }
 
 // Now returns the current logical time — a ready-made snapshot handle for
-// Sum/Scan/GetAt.
+// Query.At, Sum and GetAt.
 func (db *DB) Now() Timestamp { return db.tm.Now() }
 
 // Begin starts a transaction.

@@ -92,18 +92,15 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			t.Helper()
 			tsA, tsB := a.db.Now(), b.db.Now()
 			rowsA := map[int64]Row{}
-			if err := a.Scan(tsA, cols, func(key int64, row Row) bool {
-				cp := Row{}
-				for k, v := range row {
-					cp[k] = v
-				}
-				rowsA[key] = cp
+			if err := a.Query().At(tsA).Select(cols...).Rows(func(rv *RowView) bool {
+				rowsA[rv.Key()] = rv.Row()
 				return true
 			}); err != nil {
 				t.Fatal(err)
 			}
 			n := 0
-			if err := b.Scan(tsB, cols, func(key int64, row Row) bool {
+			if err := b.Query().At(tsB).Select(cols...).Rows(func(rv *RowView) bool {
+				key, row := rv.Key(), rv.Row()
 				n++
 				ra, ok := rowsA[key]
 				if !ok {

@@ -39,8 +39,11 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 	// Writers: each committed transaction adds exactly +1 to one record's A
 	// column (read-modify-write) under serializable isolation, so read
 	// validation turns every lost update into an abort and the committed
-	// increment count exactly predicts the table sum.
-	var committedIncrements atomic.Int64
+	// increment count exactly predicts the table sum. A transaction counts
+	// as entering commit before Commit (undone if it aborts) and as
+	// committed after Commit returns, so at any instant
+	// committed <= (increments visible to a new snapshot) <= entering.
+	var committedIncrements, enteringCommit atomic.Int64
 	var aborted atomic.Int64
 	var wg sync.WaitGroup
 	const writers, opsPerWriter = 4, 400
@@ -64,7 +67,9 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 					aborted.Add(1)
 					continue
 				}
+				enteringCommit.Add(1)
 				if err := s.tm.Commit(tx); err != nil {
+					enteringCommit.Add(-1)
 					aborted.Add(1)
 					continue
 				}
@@ -73,8 +78,10 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 		}(int64(w) + 42)
 	}
 
-	// Scanners: snapshot sums must never exceed the committed total at the
-	// time the snapshot was taken, and must be monotone in snapshot time.
+	// Scanners: a snapshot's sum must include every increment committed
+	// before the snapshot was taken, must not exceed the increments that
+	// had entered commit by the time the scan finished, and must be
+	// monotone in snapshot time.
 	scanErr := make(chan error, 1)
 	var scanWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -92,8 +99,7 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 				before := committedIncrements.Load()
 				ts := s.tm.Now()
 				sum, rows := s.ScanSum(ts, 1)
-				after := committedIncrements.Load()
-				_ = before
+				after := enteringCommit.Load()
 				if rows != nKeys {
 					select {
 					case scanErr <- errf("scan saw %d rows, want %d", rows, nKeys):
@@ -101,11 +107,20 @@ func TestConcurrentWritersWithMergeAndScans(t *testing.T) {
 					}
 					return
 				}
-				// The snapshot's sum can't exceed all increments committed
-				// by the time the scan finished.
+				// A commit can land between its commit point and the
+				// committed counter, so the upper bound counts transactions
+				// that had entered commit; the lower bound counts only those
+				// whose Commit had returned before ts was taken.
 				if sum > after {
 					select {
-					case scanErr <- errf("snapshot sum %d exceeds committed %d", sum, after):
+					case scanErr <- errf("snapshot sum %d exceeds %d increments entering commit", sum, after):
+					default:
+					}
+					return
+				}
+				if sum < before {
+					select {
+					case scanErr <- errf("snapshot sum %d misses increments: %d committed before the snapshot", sum, before):
 					default:
 					}
 					return

@@ -107,15 +107,10 @@ type Config struct {
 
 	// DisableCompression publishes sealed/merged base pages raw instead of
 	// picking an encoding per column from its value distribution (§4.1
-	// step 3). Benchmark baseline knob; compression is otherwise invisible
-	// above this package.
+	// step 3). Test hook: the storage-variant oracle matrix runs every scan
+	// over raw pages too; compression is otherwise invisible above this
+	// package.
 	DisableCompression bool
-
-	// DisableEncodedScan forces predicate-filtered scans over sealed ranges
-	// to fully decode every page before filtering, instead of evaluating
-	// predicate windows on the encoded representation and decoding only
-	// surviving 64-slot words. Benchmark baseline knob.
-	DisableEncodedScan bool
 
 	// Spill enables beyond-RAM base storage: sealed/merged base pages are
 	// appended to this sink in their page.MarshalEncoded form and faulted

@@ -311,6 +311,7 @@ func (r *updateRange) readFromHistory(view readView, slot int, cols []int, out [
 	}
 	for i, c := range cols {
 		if need&(1<<uint(c)) != 0 {
+			res.fromBase = true
 			out[i] = r.baseValue(slot, c)
 		}
 	}

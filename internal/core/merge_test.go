@@ -360,6 +360,49 @@ func TestTwoHopInvariantWithCumulativeUpdates(t *testing.T) {
 	}
 }
 
+// TestStaleHeadWalkReportsBaseRead pins the contract readCols' re-walk rests
+// on. A walk from a chain head that a delete and a merge have since passed
+// reads the merged base pages, which already hold the delete's ∅: it reports
+// fromBase, so readCols walks again from the new head and finds the delete.
+// A walk served only by immutable tail records reports no base read and is
+// never restarted.
+func TestStaleHeadWalkReportsBaseRead(t *testing.T) {
+	s := newTestStore(t, testConfig())
+	fillRange(t, s, 64)
+	r := s.rangeAt(0)
+	cols := []int{1, 2, 3}
+	out := make([]uint64, 3)
+
+	stale := r.loadIndirection(7)
+	mustCommit(t, s, func(tx *txn.Txn) {
+		if err := s.Delete(tx, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s.ForceMerge()
+	res := r.readColsFrom(latestView(nil), 7, stale, cols, out)
+	if !res.fromBase || !res.exists || out[0] != types.NullSlot {
+		t.Fatalf("stale walk = %+v %v, want a base read of the merged ∅", res, out)
+	}
+	if r.loadIndirection(7) == stale {
+		t.Fatal("delete did not move the chain head")
+	}
+	if res := r.readCols(latestView(nil), 7, cols, out); res.exists {
+		t.Fatal("readCols sees the deleted row")
+	}
+
+	mustCommit(t, s, func(tx *txn.Txn) {
+		vals := []types.Value{types.IntValue(1), types.IntValue(2), types.IntValue(3)}
+		if err := s.Update(tx, 9, cols, vals); err != nil {
+			t.Fatal(err)
+		}
+	})
+	res = r.readColsFrom(asOfView(s.tm.Now()), 9, r.loadIndirection(9), cols, out)
+	if res.fromBase || !res.exists || res.hops != 1 {
+		t.Fatalf("tail-only walk = %+v, want one hop and no base read", res)
+	}
+}
+
 func TestNonCumulativeReadsWalkChain(t *testing.T) {
 	cfg := testConfig()
 	cfg.CumulativeUpdates = false

@@ -331,6 +331,10 @@ type readResult struct {
 	// itself is the visible version. Used by serializable validation.
 	decidingRID types.RID
 	hops        int // tail records visited (2-hop invariant introspection)
+	// fromBase reports that the walk read the base pages (merged values,
+	// the merged-delete bit, or a TPS cut-over) rather than only immutable
+	// tail and history records.
+	fromBase bool
 }
 
 // readCols resolves the values of cols for the record at slot under view,
@@ -344,6 +348,28 @@ type readResult struct {
 // reachable, Lemma 2) and fall through to the history store once they cross
 // the historic-compression boundary (§4.3).
 func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64) readResult {
+	ind := r.loadIndirection(slot)
+	for {
+		res := r.readColsFrom(view, slot, ind, cols, out)
+		// A walk that read the base pages read them as they are now. If a
+		// version arrived behind ind and a merge folded it in meanwhile (a
+		// delete writes ∅ into every column, a first update its new value),
+		// those pages are newer than the walk. The new head reaches that
+		// version's pre-image: walk again. Tail and history records are
+		// immutable, so a walk that read only those stands.
+		if !res.fromBase {
+			return res
+		}
+		now := r.loadIndirection(slot)
+		if now == ind {
+			return res
+		}
+		ind = now
+	}
+}
+
+// readColsFrom is one readCols walk from the chain head ind.
+func (r *updateRange) readColsFrom(view readView, slot int, ind types.RID, cols []int, out []uint64) readResult {
 	s := r.store
 	res := readResult{}
 	var need uint64
@@ -352,8 +378,6 @@ func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64
 		need |= 1 << uint(c)
 	}
 	decided := false
-
-	ind := r.loadIndirection(slot)
 
 	// Pure fast path for latest reads: indirection at or below every needed
 	// column's TPS means base pages are current (at most the 2nd hop below).
@@ -369,6 +393,7 @@ func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64
 			}
 		}
 		if allMerged {
+			res.fromBase = true
 			if r.isMergedDeleted(slot) {
 				return res
 			}
@@ -432,6 +457,7 @@ func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64
 					}
 					cv := r.colVer(c)
 					if cv != nil && cur <= cv.tps {
+						res.fromBase = true
 						out[i] = cv.data.Get(slot)
 						need &^= 1 << uint(c)
 					} else {
@@ -458,6 +484,7 @@ func (r *updateRange) readCols(view readView, slot int, cols []int, out []uint64
 	}
 	for i, c := range cols {
 		if need&(1<<uint(c)) != 0 {
+			res.fromBase = true
 			out[i] = r.baseValue(slot, c)
 		}
 	}

@@ -241,13 +241,20 @@ func (r *updateRange) mergedCurrent(ts types.Timestamp, slot int, raw, lu uint64
 	if raw == types.NullSlot || raw > ts {
 		return false, false
 	}
-	if ind := r.loadIndirection(slot); ind == 0 || ind > minTPS {
+	ind := r.loadIndirection(slot)
+	if ind == 0 || ind > minTPS {
 		return false, false
 	}
 	if lu == types.NullSlot || lu > ts {
 		return false, false
 	}
-	return true, r.isMergedDeleted(slot)
+	deleted = r.isMergedDeleted(slot)
+	if r.loadIndirection(slot) != ind {
+		// A newer version arrived: the delete bit may be one the caller's
+		// pages do not hold yet. Leave the slot to the chain walk.
+		return false, false
+	}
+	return true, deleted
 }
 
 // rangeScanner streams the visible records of ranges under one snapshot
@@ -336,41 +343,6 @@ func (rs *rangeScanner) finish() {
 	rs.sc = nil
 }
 
-// filterWord computes the predicate bitmap for slots [lo, hi) of one 64-slot
-// word straight from the decoded column pages: bit slot&63 is set when every
-// pushed predicate matches the page value. Each predicate is one unsigned
-// window compare per lane (no per-row branching on op), so selective scans
-// reject most of a word before any visibility or materialization work. The
-// bitmap is authoritative only for slots served from the decoded pages
-// (never-updated and merged-current); chain-walk slots re-check via
-// predsMatch on the walk output.
-func (rs *rangeScanner) filterWord(lo, hi int) uint64 {
-	fb := ^uint64(0)
-	for pi := range rs.preds {
-		p := &rs.preds[pi]
-		col := rs.sc.data[p.Idx]
-		span := p.Hi - p.Lo
-		var m uint64
-		if p.Negate {
-			for slot := lo; slot < hi; slot++ {
-				if v := col[slot]; v-p.Lo > span && v != types.NullSlot {
-					m |= 1 << uint(slot&63)
-				}
-			}
-		} else {
-			for slot := lo; slot < hi; slot++ {
-				if col[slot]-p.Lo <= span {
-					m |= 1 << uint(slot&63)
-				}
-			}
-		}
-		if fb &= m; fb == 0 {
-			break
-		}
-	}
-	return fb
-}
-
 // predsMatch scalar-evaluates every predicate against one materialized row
 // (chain-walk results and unsealed-range rows, where no decoded page backs
 // the value).
@@ -437,11 +409,10 @@ func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(sl
 	//     words something survives in. Selective scans leave most of the page
 	//     compressed.
 	//
-	//   - Bulk decode (unfiltered, or DisableEncodedScan): expand the column
-	//     pages and the Start/Last Updated meta pages once up front
-	//     (sequential decompression, not per-slot point access).
-	useEnc := filtered && !rs.s.cfg.DisableEncodedScan
-	if useEnc {
+	//   - Bulk decode (unfiltered): expand the column pages and the
+	//     Start/Last Updated meta pages once up front (sequential
+	//     decompression, not per-slot point access).
+	if filtered {
 		for pi := range rs.preds {
 			p := &rs.preds[pi]
 			sc.cp[pi].Bind(sc.pgs[p.Idx], p.Lo, p.Hi, p.Negate)
@@ -470,23 +441,15 @@ func (rs *rangeScanner) scanRange(r *updateRange, slot0, nRows int, emit func(sl
 		word := r.updatedBits[wi].Load()
 		fb := ^uint64(0)
 		if filtered {
-			if useEnc {
-				for pi := range sc.cp {
-					if fb &= sc.cp[pi].FilterWord(lo, hi); fb == 0 {
-						break
-					}
+			for pi := range sc.cp {
+				if fb &= sc.cp[pi].FilterWord(lo, hi); fb == 0 {
+					break
 				}
-			} else {
-				fb = rs.filterWord(lo, hi)
 			}
 			if fb == 0 && word == 0 {
-				if useEnc {
-					rs.wordsSkip++ // 64 slots rejected without decoding one
-				}
-				continue // 64 slots rejected with zero per-row work
+				rs.wordsSkip++ // 64 slots rejected without decoding one
+				continue
 			}
-		}
-		if useEnc {
 			// Something in this word survives: materialize exactly what the
 			// paths below read. Start Time always (visibility); column words
 			// only when the filter lets a page-served slot through; Last
@@ -599,7 +562,8 @@ func (rs *rangeScanner) scanUnsealed(r *updateRange, slot0, nRows int, emit func
 		}
 		word := r.updatedBits[wi].Load()
 		for slot := lo; slot < hi; slot++ {
-			if word&(1<<uint(slot&63)) == 0 {
+			bit := uint64(1) << uint(slot&63)
+			if word&bit == 0 {
 				raw := r.baseStartSlot(slot)
 				if raw == types.NullSlot {
 					continue
@@ -611,16 +575,23 @@ func (rs *rangeScanner) scanUnsealed(r *updateRange, slot0, nRows int, emit func
 					for i, c := range rs.cols {
 						vals[i] = r.baseValue(slot, c)
 					}
-					if filtered && !rs.predsMatch(vals) {
+					// Once the range seals, a merge can rewrite these pages
+					// for an updated slot. The bit is set before the slot's
+					// first version is published (Indirection store), so
+					// before any merge can fold it: a bit still clear now
+					// vouches for vals.
+					if r.updatedBits[wi].Load()&bit == 0 {
+						if filtered && !rs.predsMatch(vals) {
+							continue
+						}
+						rs.fast++
+						if !emit(slot, vals) {
+							return false
+						}
 						continue
 					}
-					rs.fast++
-					if !emit(slot, vals) {
-						return false
-					}
-					continue
 				}
-				// Unresolved insert: fall through to the chain walk.
+				// Unresolved insert, or updated meanwhile: chain walk.
 			}
 			rs.slow++
 			res := r.readCols(rs.view, slot, rs.cols, sc.out)
@@ -650,7 +621,8 @@ func (rs *rangeScanner) scanUnsealed(r *updateRange, slot0, nRows int, emit func
 // walks the readCols chain. cvs is caller scratch (len(cols)); fast reports
 // which side served the probe.
 func (s *Store) probeSlot(ts types.Timestamp, r *updateRange, slot int, cols []int, out []uint64, cvs []*colVersion) (exists, fast bool) {
-	if r.updatedBits[slot>>6].Load()&(1<<uint(slot&63)) == 0 {
+	bit := uint64(1) << uint(slot&63)
+	if r.updatedBits[slot>>6].Load()&bit == 0 {
 		raw := r.baseStartSlot(slot)
 		if raw == types.NullSlot {
 			return false, true // aborted insert or never-written slot
@@ -662,9 +634,14 @@ func (s *Store) probeSlot(ts types.Timestamp, r *updateRange, slot int, cols []i
 			for i, c := range cols {
 				out[i] = r.baseValue(slot, c)
 			}
-			return true, true
+			// Same check as scanUnsealed: the bit is set before the slot's
+			// first version is published, so before any merge can fold it:
+			// a bit still clear now vouches for out.
+			if r.updatedBits[slot>>6].Load()&bit == 0 {
+				return true, true
+			}
 		}
-		// Unresolved insert: chain walk below.
+		// Unresolved insert, or updated meanwhile: chain walk below.
 	} else if mv := r.meta.Load(); mv != nil {
 		if minTPS, maxTPS, sealed := gatherCols(r, cols, cvs); sealed && mv.tps >= maxTPS {
 			serve, deleted := r.mergedCurrent(ts, slot, mv.startTime.Get(slot), mv.lastUpdated.Get(slot), minTPS)

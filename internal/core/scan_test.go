@@ -476,23 +476,19 @@ func TestParallelScanMatchesReadColsOracle(t *testing.T) {
 }
 
 // TestScanOracleStorageVariants re-runs the oracle property across the
-// compression knob matrix: raw pages, compressed pages with the encoded
-// predicate path disabled (decode-then-filter), and each again under the
-// parallel pool. The default config (compressed + encoded scan) is covered
-// by the two tests above; together the four variants pin the "one scan
-// engine" invariant — every storage representation must produce identical
-// results through the identical engine surface.
+// storage matrix: raw pages and spilled pages, each also under the parallel
+// pool. The default config (compressed, resident) is covered by the two
+// tests above; together the variants pin the "one scan engine" invariant —
+// every storage representation must produce identical results through the
+// identical engine surface.
 func TestScanOracleStorageVariants(t *testing.T) {
 	raw := func(c *Config) { c.DisableCompression = true }
-	noEnc := func(c *Config) { c.DisableEncodedScan = true }
 	// A pool cap of ~4 raw frames against 4+ sealed ranges × 4 pages each:
 	// every scan churns through misses and evictions while writers and the
 	// merge republish pages — the beyond-RAM variant of the same property.
 	spill := func(c *Config) { c.Spill = NewMemSpill(); c.PoolBytes = 2048 }
 	t.Run("raw", func(t *testing.T) { runScanOracle(t, 1, 60, raw) })
-	t.Run("decode-then-filter", func(t *testing.T) { runScanOracle(t, 1, 60, noEnc) })
 	t.Run("raw-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, raw) })
-	t.Run("decode-then-filter-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, noEnc) })
 	t.Run("spill", func(t *testing.T) { runScanOracle(t, 1, 60, spill) })
 	t.Run("spill-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, spill) })
 	t.Run("spill-raw-parallel", func(t *testing.T) { runScanOracle(t, 4, 60, raw, spill) })

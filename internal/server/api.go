@@ -573,7 +573,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"flush_lag":     wi.LastLSN - wi.FlushedLSN,
 			"truncated_lsn": wi.TruncatedLSN,
 			"syncs":         wi.Syncs,
-			"group_commit":  wi.GroupCommit,
 			"group_batches": wi.GroupBatches,
 			"error":         walErr,
 		},

@@ -58,8 +58,6 @@ type StoreConfig struct {
 	CheckpointEvery time.Duration
 	// Tables bootstraps a fresh store (and adds missing tables on restart).
 	Tables []TableSpec
-	// NoGroupCommit selects a flush (and fsync) per commit.
-	NoGroupCommit bool
 }
 
 // Store is an opened durable store: the DB plus the image sink the serving
@@ -96,11 +94,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []lstore.Option{lstore.WithWAL(walSink, nil)}
-	if cfg.NoGroupCommit {
-		opts = append(opts, lstore.WithoutGroupCommit())
-	}
-	db := lstore.Open(opts...)
+	db := lstore.Open(lstore.WithWAL(walSink, nil))
 	fail := func(err error) (*Store, error) {
 		db.Close()
 		walSink.Close() //nolint:errcheck // the open already failed

@@ -91,19 +91,9 @@ func (l *Logger) commitWait(lsn uint64) error {
 	}
 }
 
-// SetGroupCommit selects between batched commits (the default: concurrent
-// AppendCommit callers share one flush) and a flush per commit. It must be
-// called before the logger is used concurrently — typically right after
-// NewLogger — and exists so benchmarks and tests can measure the batching
-// against the flush-per-commit baseline.
-func (l *Logger) SetGroupCommit(on bool) { l.group = on }
-
-// GroupCommit reports whether commits are batched.
-func (l *Logger) GroupCommit() bool { return l.group }
-
-// GroupBatches returns how many commit batches a leader has flushed (0 with
-// group commit off). Syncs()/GroupBatches() ≈ 1 when batching is active;
-// commits divided by GroupBatches is the achieved batch size.
+// GroupBatches returns how many commit batches a leader has flushed.
+// Syncs()/GroupBatches() ≈ 1 when only commits flush; commits divided by
+// GroupBatches is the achieved batch size.
 func (l *Logger) GroupBatches() int {
 	l.gcMu.Lock()
 	defer l.gcMu.Unlock()

@@ -296,25 +296,26 @@ func TestGroupCommitCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// TestGroupCommitToggleOffFlushesPerCommit: the benchmark baseline —
-// SetGroupCommit(false) restores one flush per commit.
-func TestGroupCommitToggleOffFlushesPerCommit(t *testing.T) {
+// TestGroupCommitLoneCommitterFlushesOnce: without concurrency every commit
+// leads its own batch, so sequential commits cost exactly one flush each and
+// each returns durable.
+func TestGroupCommitLoneCommitterFlushesOnce(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, nil)
-	l.SetGroupCommit(false)
-	if l.GroupCommit() {
-		t.Fatal("toggle did not stick")
-	}
 	for txn := uint64(1); txn <= 5; txn++ {
 		l.Append(Record{Kind: KindBegin, TxnID: txn})
-		if _, err := l.AppendCommit(txn); err != nil {
+		lsn, err := l.AppendCommit(txn)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if f := l.FlushedLSN(); f < lsn {
+			t.Fatalf("commit %d returned at LSN %d with flushed LSN %d", txn, lsn, f)
 		}
 	}
 	if s := l.Syncs(); s != 5 {
-		t.Fatalf("syncs = %d, want 5 (one per commit with group commit off)", s)
+		t.Fatalf("syncs = %d, want 5 (one per sequential commit)", s)
 	}
-	if b := l.GroupBatches(); b != 0 {
-		t.Fatalf("batches = %d with group commit off, want 0", b)
+	if b := l.GroupBatches(); b != 5 {
+		t.Fatalf("batches = %d, want 5 (each lone commit leads its own batch)", b)
 	}
 }

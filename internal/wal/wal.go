@@ -165,7 +165,6 @@ type Logger struct {
 	// Group-commit committer state (committer.go). gcMu is ordered BEFORE mu:
 	// the leader coordinates through gcMu and reads flush state (which takes
 	// mu) while holding it; mu is never held while acquiring gcMu.
-	group      bool       // immutable after NewLogger/SetGroupCommit (set before concurrent use)
 	gcMu       sync.Mutex // committer coordination lock
 	gcWake     *sync.Cond // on gcMu; signaled when a leader's flush completes
 	gcFlushing bool       // guarded by gcMu; a batch leader's flush is in flight
@@ -190,7 +189,6 @@ func NewLogger(sink io.Writer, syncFn func()) *Logger {
 		nextLSN:      1,
 		synced:       syncFn,
 		trackOffsets: truncatable,
-		group:        true,
 	}
 	l.gcWake = sync.NewCond(&l.gcMu)
 	if rs, ok := sink.(retainingSink); ok {
@@ -304,20 +302,16 @@ func (l *Logger) Append(rec Record) (uint64, error) {
 
 // AppendCommit appends a commit record and makes it durable — the
 // group-commit point: every record buffered before it (from any
-// transaction) becomes durable together. With group commit on (the
-// default), concurrent callers batch onto one leader's flush (committer.go:
-// one fsync vouches for the whole batch, a failed flush fails every waiter
-// in it); with it off, each call runs its own flush.
+// transaction) becomes durable together. Concurrent callers batch onto one
+// leader's flush (committer.go: one fsync vouches for the whole batch, a
+// failed flush fails every waiter in it); a lone caller runs its own flush.
 func (l *Logger) AppendCommit(txnID uint64) (uint64, error) {
 	lsn, err := l.Append(Record{Kind: KindCommit, TxnID: txnID})
 	if err != nil {
 		return 0, err
 	}
 	cpAppendPreFlush.Hit() // the commit record is buffered but not yet durable
-	if l.group {
-		return lsn, l.commitWait(lsn)
-	}
-	return lsn, l.Flush()
+	return lsn, l.commitWait(lsn)
 }
 
 // Flush makes all appended records durable.

@@ -28,8 +28,8 @@
 // snapshot, never blocks writers, and compiles onto the columnar scan
 // engine: equality predicates on indexed columns become index point-probes,
 // everything else becomes a bulk scan with the predicates pushed down —
-// evaluated vectorized over the decoded column pages, before any row is
-// materialized:
+// evaluated a 64-slot word at a time on the encoded column pages, before
+// any row is materialized:
 //
 //	// Filtered rows, streamed through a zero-allocation cursor:
 //	tbl.Query().
@@ -50,8 +50,7 @@
 //	keys, _ := tbl.Query().Where(lstore.Eq("region", lstore.Int(3))).Keys()
 //	hot, _ := tbl.Query().Where(lstore.Gt("balance", lstore.Int(900))).Count()
 //
-// Sum, Scan and FindBy remain as thin wrappers compiled onto the same
-// query plans.
+// Sum remains as a thin wrapper compiled onto the same aggregate plan.
 //
 // Time travel — pin any query or point read to an earlier snapshot:
 //
@@ -149,12 +148,6 @@ var ErrNotFound = core.ErrNotFound
 // mistyped is ever stored or compared.
 var ErrTypeMismatch = core.ErrBadValue
 
-// ErrNoIndex is returned by FindBy for a column with no declared secondary
-// index (TableOptions.SecondaryIndexes). Query has no such requirement: an
-// equality predicate on an unindexed column simply plans as a filtered
-// scan instead of an index probe.
-var ErrNoIndex = core.ErrNoIndex
-
 // TableOptions tunes one table's storage.
 type TableOptions struct {
 	// RangeSize is records per update range (power of two; default 4096,
@@ -174,9 +167,9 @@ type TableOptions struct {
 	// MergeWorkers sizes the background merge-scheduler pool (distinct
 	// ranges merge concurrently; default GOMAXPROCS, capped at 8).
 	MergeWorkers int
-	// ScanWorkers sizes the analytical-scan worker pool: Sum and Scan fan
+	// ScanWorkers sizes the analytical-scan worker pool: Sum and Query fan
 	// independent update ranges out across up to this many goroutines while
-	// keeping results deterministic (Scan callbacks still run on the caller
+	// keeping results deterministic (Rows callbacks still run on the caller
 	// goroutine, in sequential row order). 1 disables parallel scans;
 	// default GOMAXPROCS, capped at 8.
 	ScanWorkers int
@@ -185,15 +178,6 @@ type TableOptions struct {
 	// DisableAutoMerge turns off the background merge thread; merges then
 	// run only through Table.Merge (deterministic tests).
 	DisableAutoMerge bool
-	// DisableCompression publishes sealed/merged base pages raw instead of
-	// selecting an encoding (FOR bit-packing, RLE, dictionary) per column
-	// from its value distribution. Benchmark baseline knob.
-	DisableCompression bool
-	// DisableEncodedScan makes predicate-filtered scans fully decode sealed
-	// pages before filtering instead of evaluating predicates on the encoded
-	// representation and decoding only surviving 64-slot words. Benchmark
-	// baseline knob.
-	DisableEncodedScan bool
 
 	// Spill attaches beyond-RAM base storage: sealed and merged base pages
 	// are written to this sink in their encoded form and read back through a

@@ -141,7 +141,7 @@ func TestSumScanAndTimeTravel(t *testing.T) {
 	}
 	// Scan with callback.
 	seen := 0
-	err = tbl.Scan(db.Now(), []string{"balance"}, func(key int64, row Row) bool {
+	err = tbl.Query().Select("balance").Rows(func(rv *RowView) bool {
 		seen++
 		return true
 	})
@@ -161,12 +161,17 @@ func TestSecondaryIndexAPI(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := tbl.FindBy(db.Now(), "region", Int(1))
-	if err != nil || len(keys) != 3 {
-		t.Fatalf("FindBy = %v %v", keys, err)
+	if !tbl.store.HasSecondary(tbl.schema.ColIndex("region")) {
+		t.Fatal("SecondaryIndexes did not build the region index")
 	}
-	if _, err := tbl.FindBy(db.Now(), "balance", Int(1)); err == nil {
-		t.Fatal("FindBy without index accepted")
+	keys, err := tbl.Query().Where(Eq("region", Int(1))).Keys()
+	if err != nil || len(keys) != 3 {
+		t.Fatalf("index probe = %v %v", keys, err)
+	}
+	// Without an index the same predicate plans as a filtered scan.
+	keys, err = tbl.Query().Where(Eq("balance", Int(1))).Keys()
+	if err != nil || len(keys) != 6 {
+		t.Fatalf("unindexed Eq = %v %v", keys, err)
 	}
 }
 

@@ -173,28 +173,3 @@ func TestMaxInt64Boundary(t *testing.T) {
 		t.Fatalf("Between(..., MaxInt64): %v %v", ks, err)
 	}
 }
-
-// TestFindByRequiresIndexQueryDoesNot pins the satellite contract: FindBy on
-// an unindexed column fails with ErrNoIndex, while the same predicate
-// through Query falls back to a filtered scan.
-func TestFindByRequiresIndexQueryDoesNot(t *testing.T) {
-	db, tbl := planFixture(t)
-
-	if _, err := tbl.FindBy(db.Now(), "balance", Int(10)); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("FindBy on unindexed column: err = %v, want ErrNoIndex", err)
-	}
-	keys, err := tbl.Query().Where(Eq("balance", Int(10))).Keys()
-	if err != nil || len(keys) != 1 || keys[0] != 1 {
-		t.Fatalf("Query fallback: keys=%v err=%v", keys, err)
-	}
-	keys, err = tbl.FindBy(db.Now(), "region", Int(3))
-	if err != nil || len(keys) != 1 || keys[0] != 1 {
-		t.Fatalf("FindBy on indexed column: keys=%v err=%v", keys, err)
-	}
-	// FindBy(Null) keeps its historic contract — the index never holds
-	// nulls, so the probe is empty — while Query's Eq(Null) means IS NULL.
-	keys, err = tbl.FindBy(db.Now(), "region", Null())
-	if err != nil || len(keys) != 0 {
-		t.Fatalf("FindBy(Null): keys=%v err=%v", keys, err)
-	}
-}

@@ -209,44 +209,6 @@ func (tb *Table) Sum(ts Timestamp, col string) (sum int64, rows int64, err error
 	return res.Int(0), res.Rows(0), nil
 }
 
-// Scan applies fn to every live record as of ts, in primary-RID order; fn
-// returning false stops. A thin wrapper over the unfiltered Query scan plan
-// that materializes a Row map per record — filtering callers should use
-// Query directly, whose pushed-down predicates skip non-matching rows
-// before any materialization. With ScanWorkers > 1 ranges are scanned
-// concurrently, but fn always runs on the calling goroutine and observes
-// exactly the sequential row order.
-func (tb *Table) Scan(ts Timestamp, cols []string, fn func(key int64, row Row) bool) error {
-	q := tb.Query().At(ts)
-	if len(cols) > 0 {
-		q.Select(cols...)
-	}
-	return q.Rows(func(rv *RowView) bool {
-		return fn(rv.Key(), rv.Row())
-	})
-}
-
-// FindBy returns the keys of records whose col equals v as of ts — a thin
-// wrapper over the Query index-probe plan. The column must carry a declared
-// secondary index (TableOptions.SecondaryIndexes) or FindBy fails with
-// ErrNoIndex; Query with an Eq predicate instead falls back to a filtered
-// scan when no index exists.
-func (tb *Table) FindBy(ts Timestamp, col string, v Value) ([]int64, error) {
-	ci := tb.schema.ColIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("lstore: table %q has no column %q", tb.name, col)
-	}
-	if !tb.store.HasSecondary(ci) {
-		return nil, fmt.Errorf("lstore: table %q column %q: %w", tb.name, col, ErrNoIndex)
-	}
-	if v.IsNull() {
-		// Secondary indexes never hold nulls, so the probe was always empty;
-		// do not fall into Query's IS NULL scan semantics.
-		return nil, nil
-	}
-	return tb.Query().At(ts).Where(Eq(col, v)).Keys()
-}
-
 // Merge synchronously consolidates every range's committed tail backlog
 // (the background merge does this automatically unless disabled). Returns
 // the number of tail records consolidated.

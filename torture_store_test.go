@@ -23,12 +23,8 @@ func init() {
 		defer st.Close()
 		tbl, _ := st.DB.Table("t")
 		rows := map[int64]lstore.Row{}
-		err = tbl.Scan(st.DB.Now(), nil, func(key int64, row lstore.Row) bool {
-			cp := lstore.Row{}
-			for k, v := range row {
-				cp[k] = v
-			}
-			rows[key] = cp
+		err = tbl.Query().At(st.DB.Now()).Rows(func(rv *lstore.RowView) bool {
+			rows[rv.Key()] = rv.Row()
 			return true
 		})
 		return rows, err
